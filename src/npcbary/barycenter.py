@@ -7,10 +7,14 @@ recursion over the periodic repetition of the input and stops once a full
 cycle of n steps moves the iterate by at most ``tol`` (cyclic convergence to
 the Frechet mean holds in any NPC space).
 
-Weighted barycenters with exactly rational weights are reduced to the uniform
-case by replicating each point according to its weight over the common
-denominator.  A brute-force grid/candidate minimizer of the Frechet objective
-is included as an independent oracle for small instances.
+Weighted barycenters run the weighted form of the same cyclic recursion
+(Sturm 2003; Lim & Palfia 2014): one cycle is one pass over the
+positive-weight atoms, and the visit of atom i steps toward it with
+t = w_i / W, W the weight accumulated so far, counting this visit.  Weights
+are exact rationals; a float weight is taken as its exact binary rational.
+With uniform weights this is the unweighted recursion, t = 1/k.  A brute-force
+grid/candidate minimizer of the Frechet objective is included as an
+independent oracle for small instances.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from .spaces import Euclidean, MetricTree, Space, SpaceError
 
 DEFAULT_MAX_CYCLES = 100_000
-REPLICATION_CAP = 1_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -184,30 +187,41 @@ def empirical_barycenter(
         raise SpaceError("need at least one point")
     if tol is None:
         tol = default_tolerance(space, points)
+    s, steps, disp = _cyclic_barycenter(space, points, [1] * n, tol, max_cycles)
+    return BarycenterResult(s, steps, disp, frechet_objective(space, points, s))
+
+
+def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int], tol: float,
+                       max_cycles: int):
+    """Weighted cyclic recursion: each cycle visits every atom once and steps
+    toward atom i with t = m_i / W, W the running total of the integer counts
+    including this visit.  Stops as :func:`empirical_barycenter` describes;
+    returns the iterate, the geodesic steps and the last cycle displacement."""
     if not tol > 0:
         raise SpaceError("tol must be > 0")
+    n = len(points)
     if n == 1:
-        return BarycenterResult(points[0], 0, 0.0, 0.0)
+        return points[0], 0, 0.0
 
     geodesic = space.geodesic_point
     s = points[0]
-    k = 1
+    total = counts[0]
     # cycle 1 consumes x_2 .. x_n
-    for i in range(1, n):
-        k += 1
-        s = geodesic(s, points[i], 1.0 / k)
+    for x, m in zip(points[1:], counts[1:]):
+        total += m
+        s = geodesic(s, x, m / total)
     prev_end = s
     small_streak = 0
     disp = math.inf
-    for _cycle in range(2, max_cycles + 1):
-        for i in range(n):
-            k += 1
-            s = geodesic(s, points[i], 1.0 / k)
+    for cycle in range(2, max_cycles + 1):
+        for x, m in zip(points, counts):
+            total += m
+            s = geodesic(s, x, m / total)
         disp = space.dist(s, prev_end)
         if disp <= tol:
             small_streak += 1
             if small_streak >= 2:
-                return BarycenterResult(s, k - 1, disp, frechet_objective(space, points, s))
+                return s, cycle * n - 1, disp
         else:
             small_streak = 0
         prev_end = s
@@ -216,34 +230,8 @@ def empirical_barycenter(
         f"(last cycle displacement {disp})",
         point=s,
         displacement=disp,
-        iterations=k - 1,
+        iterations=max_cycles * n - 1,
     )
-
-
-def replicate_by_weight(sample: WeightedSample, cap: int = REPLICATION_CAP) -> list:
-    """Expand a rational-weight sample into an exact uniform multiset.
-
-    Each point appears w_i * Q times, Q the least common denominator, and the
-    copies are interleaved round-robin so the cyclic recursion never sees a
-    long monotone run of one atom.
-    """
-    weights = sample.resolved_weights()
-    q = 1
-    for w in weights:
-        q = q * w.denominator // math.gcd(q, w.denominator)
-    if q > cap:
-        raise SpaceError(
-            f"weight denominators need {q} replicas, above the cap {cap}"
-        )
-    counts = [int(w * q) for w in weights]
-    out = []
-    remaining = counts[:]
-    while len(out) < q:
-        for i, r in enumerate(remaining):
-            if r > 0:
-                out.append(sample.points[i])
-                remaining[i] = r - 1
-    return out
 
 
 def weighted_barycenter(
@@ -251,17 +239,23 @@ def weighted_barycenter(
     sample: WeightedSample,
     tol: float | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    replication_cap: int = REPLICATION_CAP,
 ) -> BarycenterResult:
-    """Barycenter of a rationally weighted sample via exact replication.
+    """Barycenter of a rationally weighted sample by the weighted cyclic
+    recursion, with integer counts m_i = w_i * Q over the weights' least
+    common denominator Q; zero-weight atoms are skipped.
 
     For two points with weights (1-t, t) the result matches
     ``geodesic_point(x, y, t)`` within the solver tolerance.
     """
-    replicated = replicate_by_weight(sample, cap=replication_cap)
     if tol is None:
         tol = default_tolerance(space, sample.points)
-    return empirical_barycenter(space, replicated, tol=tol, max_cycles=max_cycles)
+    weights = sample.resolved_weights()
+    q = math.lcm(*(w.denominator for w in weights))
+    points, counts = zip(*(
+        (x, w.numerator * (q // w.denominator)) for x, w in zip(sample.points, weights) if w > 0
+    ))
+    s, steps, disp = _cyclic_barycenter(space, points, counts, tol, max_cycles)
+    return BarycenterResult(s, steps, disp, frechet_variance(space, sample, s))
 
 
 def frechet_variance(space: Space, sample: WeightedSample, b) -> float:

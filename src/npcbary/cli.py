@@ -57,7 +57,10 @@ def _load_json(path: str):
 
 
 def _dump_json(obj, path: str | None):
-    text = json.dumps(obj, indent=2)
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise SpaceError(f"result has a non-finite number, not valid JSON: {exc}") from exc
     if path is None:
         print(text)
     else:
@@ -135,15 +138,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.preset is not None:
-        config = presets.preset_config(args.preset)
-    else:
-        if args.config is None:
-            raise SpaceError("experiment needs --config or --preset")
-        config = ExperimentConfig.from_json(_load_json(args.config))
-    if args.seed is not None:
-        config.seed = args.seed
     try:
+        if args.preset is not None:
+            config = presets.preset_config(args.preset)
+        elif args.config is not None:
+            config = ExperimentConfig.from_json(_load_json(args.config))
+        else:
+            raise SpaceError("experiment needs --config or --preset")
+        if args.seed is not None:
+            config.seed = args.seed
         report = run_concentration(config)
     except ValueError as exc:
         raise SpaceError(str(exc)) from exc

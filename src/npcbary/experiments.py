@@ -68,6 +68,9 @@ LIPSCHITZ_SLACK_REL = 1e-4
 
 ESTIMATORS = ("empirical", "inductive")
 
+# The radii a coverage run can check, evaluated through bounds.BOUND_EVALUATORS.
+COVERAGE_BOUNDS = ("subgaussian", "hoeffding", "bernstein", "noniid_hoeffding", "noniid_bernstein")
+
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Per-trial generator derived from (seed, trial index)."""
@@ -81,7 +84,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 @dataclass
 class DistributionSpec:
-    """A finitely supported probability measure on one space."""
+    """A finitely supported probability measure on one space, holding one
+    :class:`WeightedSample` and the cumulative table that sampling searches."""
 
     space: Space
     support: list
@@ -90,30 +94,27 @@ class DistributionSpec:
 
     def __post_init__(self):
         self.support = list(self.support)
-        sample = WeightedSample(self.support, self.weights)
-        self.weights = sample.weights
+        self._sample = WeightedSample(self.support, self.weights)
+        self.weights = self._sample.weights
         for i, p in enumerate(self.support):
             diag = self.space.validate_point(p)
             if diag is not None:
                 raise SpaceError(f"support point {i}: {diag}")
+        cum = np.cumsum([float(w) for w in self._sample.resolved_weights()])
+        cum[-1] = 1.0
+        cum.flags.writeable = False
+        self._cum = cum
 
     @property
     def n_atoms(self) -> int:
         return len(self.support)
 
-    def resolved_weights(self) -> tuple[Fraction, ...]:
-        if self.weights is not None:
-            return self.weights
-        n = self.n_atoms
-        return tuple(Fraction(1, n) for _ in range(n))
-
     def cumulative_weights(self) -> np.ndarray:
-        cum = np.cumsum([float(w) for w in self.resolved_weights()])
-        cum[-1] = 1.0
-        return cum
+        """Read-only cumulative weights, last entry exactly 1."""
+        return self._cum
 
     def as_weighted_sample(self) -> WeightedSample:
-        return WeightedSample(self.support, self.weights)
+        return self._sample
 
     def diameter(self) -> float:
         return sample_diameter(self.space, self.support)
@@ -165,12 +166,13 @@ def population_barycenter(dist: DistributionSpec, tol: float | None = None):
 
 def sample(dist: DistributionSpec, rng: np.random.Generator):
     """One support point drawn with its weight as probability."""
-    u = rng.random()
-    idx = int(np.searchsorted(dist.cumulative_weights(), u, side="right"))
-    return dist.support[idx]
+    return dist.support[int(draw_indices(dist.cumulative_weights(), rng, 1)[0])]
 
 
 def draw_indices(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` atom indices from ``size`` uniforms of ``rng``, atom i drawn
+    with probability cum[i] - cum[i-1].  Every sampling path goes through
+    here, so one seed gives the same atoms whichever path draws them."""
     return np.searchsorted(cum, rng.random(size), side="right")
 
 
@@ -214,6 +216,8 @@ class ExperimentConfig:
             raise ValueError("n must be >= 1")
         if int(self.seed) < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.bound not in COVERAGE_BOUNDS:
+            raise ValueError(f"bound must be one of {COVERAGE_BOUNDS}, got {self.bound!r}")
         spaces = {d.space for d in self.distributions}
         if len(spaces) != 1:
             raise ValueError("all distributions must live on the same space")
@@ -305,31 +309,19 @@ def coverage_threshold(delta: float, trials: int) -> float:
     return 1.0 - delta - Z_SLACK * math.sqrt(delta * (1.0 - delta) / trials)
 
 
-def _resolve_bound(
-    name: str,
-    overrides: dict,
-    n: int,
-    delta: float,
-    sigma: float,
-    C: float,
-    sigmas: list[float],
-    Cs: list[float],
-) -> float:
-    combine = overrides.get("combine", "max")
-    if name == "hoeffding":
-        value = bounds.hoeffding_radius(sigma, C, n, delta)
-    elif name == "bernstein":
-        value = bounds.bernstein_radius(sigma, C, n, delta, combine=combine)
-    elif name == "subgaussian":
-        K = float(overrides.get("K", 2.0 * C))
-        value = bounds.subgaussian_radius(K, sigma, n, delta)
-    elif name == "noniid_hoeffding":
-        value = bounds.noniid_hoeffding_radius(sigmas, Cs, n, delta)
-    elif name == "noniid_bernstein":
-        value = bounds.noniid_bernstein_radius(sigmas, max(Cs), n, delta, combine=combine)
-    else:
-        raise ValueError(f"unknown coverage bound {name!r}")
-    return value * float(overrides.get("scale", 1.0))
+def _resolve_bound(config: ExperimentConfig, sigma: float, C: float,
+                   sigmas: list[float], Cs: list[float]) -> float:
+    """The configured radius via ``bounds.evaluate_bound``; overrides are K
+    (default 2C), combine (Bernstein forms) and a final scale factor."""
+    overrides = config.bound_overrides
+    query = {
+        "sigma": sigma, "C": C, "sigmas": sigmas, "Cs": Cs,
+        "n": config.n, "delta": config.delta,
+        "K": float(overrides.get("K", 2.0 * C)),
+    }
+    if "combine" in overrides:
+        query["combine"] = overrides["combine"]
+    return bounds.evaluate_bound(config.bound, query) * float(overrides.get("scale", 1.0))
 
 
 def _trial_estimator(config: ExperimentConfig, trial_tol: float) -> Callable:
@@ -383,31 +375,21 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     C = max(Cs)
     D = max(d.diameter() for d in dists)
 
-    bound_value = _resolve_bound(
-        config.bound, config.bound_overrides, config.n, config.delta,
-        sigma, C, sigmas, Cs,
-    )
+    bound_value = _resolve_bound(config, sigma, C, sigmas, Cs)
 
     trial_tol = config.tol
     if trial_tol is None:
         trial_tol = TRIAL_TOL_REL * (1.0 + D)
     estimate = _trial_estimator(config, trial_tol)
 
-    cums = [d.cumulative_weights() for d in dists]
-    supports = [d.support for d in dists]
-    n = config.n
+    # i.i.d.: n draws from the one distribution; otherwise one draw from each
+    # distribution in turn, consuming the same uniforms as n draws at once
+    size = config.n if config.iid else 1
+    blocks = [(d.support, d.cumulative_weights()) for d in dists]
     distances = []
     for t in range(config.trials):
         rng = trial_rng(config.seed, t)
-        u = rng.random(n)
-        if config.iid:
-            idx = np.searchsorted(cums[0], u, side="right")
-            pts = [supports[0][i] for i in idx]
-        else:
-            pts = [
-                supports[j][int(np.searchsorted(cums[j], u[j], side="right"))]
-                for j in range(n)
-            ]
+        pts = [support[i] for support, cum in blocks for i in draw_indices(cum, rng, size)]
         try:
             t_n = estimate(pts)
         except ConvergenceError as exc:
@@ -528,7 +510,7 @@ def verify_subgaussian_witness(
     dist.space.check_point(x0)
     atom_f = np.array([space.dist(x, x0) for x in dist.support])
     C = float(atom_f.max())
-    weights = np.array([float(w) for w in dist.resolved_weights()])
+    weights = np.array([float(w) for w in dist.as_weighted_sample().resolved_weights()])
     mean_f = float(weights @ atom_f)
 
     rng = trial_rng(seed, 0)
@@ -608,7 +590,6 @@ def run_pac(
         if space.dist(b_m, b_star) <= eps_target:
             successes += 1
     freq = successes / trials
-    threshold = 1.0 - delta - Z_SLACK * math.sqrt(delta * (1.0 - delta) / trials)
     return PacReport(
         m=m,
         trials=trials,
@@ -621,7 +602,7 @@ def run_pac(
         use_bernstein=use_bernstein,
         c_pac=c_pac,
         seed=seed,
-        passed=freq >= threshold,
+        passed=freq >= coverage_threshold(delta, trials),
     )
 
 
@@ -742,6 +723,9 @@ def npc_property_suite(
     """
     if isinstance(space, Sphere):
         raise SpaceError("the NPC property suite does not apply to positively curved spaces")
+    for name, count in (("samples", samples), ("tuple_pairs", tuple_pairs)):
+        if count < 1:
+            raise SpaceError(f"{name} must be >= 1, got {count}")
     if solver_tol_rel is None:
         solver_tol_rel = 1e-4 if isinstance(space, MetricTree) else 1e-6
     rng = np.random.default_rng(seed)

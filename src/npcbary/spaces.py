@@ -836,18 +836,29 @@ def space_to_json(space: Space) -> dict:
     return space.descriptor()
 
 
+def _number_field(obj: dict, name: str, cast, default=None):
+    """obj[name] as int or float; a missing or non-numeric value is a SpaceError naming it."""
+    value = obj.get(name, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpaceError(f"space field {name!r} must be a number, got {value!r}") from exc
+
+
 def space_from_json(obj: dict) -> Space:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpaceError("space descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "euclidean":
-        return Euclidean(dim=int(obj["dim"]))
+        return Euclidean(dim=_number_field(obj, "dim", int))
     if kind == "hyperbolic":
-        return Hyperbolic(kappa=float(obj["kappa"]), dim=int(obj.get("dim", 2)))
+        return Hyperbolic(kappa=_number_field(obj, "kappa", float),
+                          dim=_number_field(obj, "dim", int, 2))
     if kind == "spd_affine":
-        return SpdAffine(p=int(obj["p"]))
+        return SpdAffine(p=_number_field(obj, "p", int))
     if kind == "sphere":
-        return Sphere(kappa=float(obj["kappa"]), dim=int(obj.get("dim", 2)))
+        return Sphere(kappa=_number_field(obj, "kappa", float),
+                      dim=_number_field(obj, "dim", int, 2))
     if kind == "metric_tree":
         tree = obj.get("tree", {})
         return MetricTree(

@@ -23,7 +23,7 @@ from npcbary import (
     product_l1_dist,
     weighted_barycenter,
 )
-from npcbary.barycenter import as_fraction, replicate_by_weight, sample_diameter
+from npcbary.barycenter import as_fraction, sample_diameter
 from npcbary.experiments import perturbed_tuple, random_point, random_tuple
 
 from conftest import all_spaces, npc_spaces, star_tree
@@ -126,11 +126,22 @@ def test_weighted_two_points_quarter():
     assert abs(res.point[0] - 0.75) <= 1e-10
 
 
-@pytest.mark.parametrize("space", [Euclidean(2), SpdAffine(2), Hyperbolic(-1.0)], ids=lambda s: s.kind)
-def test_weighted_two_points_matches_geodesic(space, rng):
+@pytest.mark.parametrize(
+    "space, weights",
+    [
+        pytest.param(space, (1 - Fraction(2, 7), Fraction(2, 7)), id=space.kind)
+        for space in (Euclidean(2), SpdAffine(2), Hyperbolic(-1.0))
+    ]
+    + [
+        # a float pair, taken as its exact binary rationals (denominator 2^53)
+        pytest.param(space, (0.9, 1 - 0.9), id=f"{space.kind}-float")
+        for space in (Euclidean(2), SpdAffine(2), Hyperbolic(-1.0))
+    ],
+)
+def test_weighted_two_points_matches_geodesic(space, weights, rng):
     x, y = random_point(space, rng), random_point(space, rng)
-    t = Fraction(2, 7)
-    ws = WeightedSample([x, y], (1 - t, t))
+    t = weights[1]
+    ws = WeightedSample([x, y], weights)
     res = weighted_barycenter(space, ws, tol=1e-10)
     assert space.dist(res.point, space.geodesic_point(x, y, float(t))) <= 1e-8
 
@@ -162,19 +173,6 @@ def test_weight_validation():
         as_fraction("sqrt(2)")
     assert as_fraction("1/3") == Fraction(1, 3)
     assert as_fraction(0.25) == Fraction(1, 4)
-
-
-def test_replication_interleaves_round_robin():
-    ws = WeightedSample(["x", "y"], (Fraction(1, 4), Fraction(3, 4)))
-    assert replicate_by_weight(ws) == ["x", "y", "y", "y"]
-    ws = WeightedSample(["x", "y", "z"], (Fraction(1, 6), Fraction(2, 6), Fraction(3, 6)))
-    assert replicate_by_weight(ws) == ["x", "y", "z", "y", "z", "z"]
-
-
-def test_replication_cap():
-    ws = WeightedSample([np.array([0.0]), np.array([1.0])], (Fraction(1, 3), Fraction(2, 3)))
-    with pytest.raises(SpaceError):
-        weighted_barycenter(Euclidean(1), ws, replication_cap=2)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,17 @@ def test_barycenter_parse_error(tmp_path):
     assert main(["barycenter", "--input", missing]) == 2
 
 
+@pytest.mark.parametrize("space, field", [
+    ({"kind": "euclidean", "dim": "two"}, "dim"),
+    ({"kind": "spd_affine", "p": [2]}, "p"),
+    ({"kind": "hyperbolic", "kappa": "negative", "dim": 2}, "kappa"),
+], ids=["dim", "p", "kappa"])
+def test_barycenter_non_numeric_space_field(tmp_path, capsys, space, field):
+    inp = write(tmp_path / "points.json", {"space": space, "points": [[0.0, 0.0]]})
+    assert main(["barycenter", "--input", inp]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_barycenter_convergence_failure(tmp_path):
     tree = star_tree()
     inp = write(
@@ -194,6 +205,19 @@ def test_experiment_preset_and_csv_determinism(tmp_path):
     assert read(rep1) == json.loads(json.dumps(read(rep1)))
 
 
+def test_experiment_invalid_config_exit_code(tmp_path, capsys):
+    cfg = {
+        "space": {"kind": "euclidean", "dim": 1},
+        "distributions": [{"support": [[2.0]]}],
+        "n": 10,
+        "trials": 0,
+        "delta": 0.1,
+    }
+    inp = write(tmp_path / "cfg.json", cfg)
+    assert main(["experiment", "--config", inp]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
 def test_experiment_failing_bound_exit_code(tmp_path):
     cfg = {
         "label": "shrunk bound",
@@ -221,6 +245,14 @@ def test_check_spd(tmp_path):
         "midpoint_inequality", "constant_speed",
         "lipschitz_inductive", "lipschitz_empirical",
     }
+
+
+def test_check_rejects_empty_suite(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    assert main(["check", "--space", "euclidean", "--samples", "0", "--tuple-pairs", "0",
+                 "--output", str(out)]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_tree(tmp_path):

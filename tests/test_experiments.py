@@ -22,6 +22,7 @@ from npcbary import (
     verify_sturm_lln,
     verify_subgaussian_witness,
 )
+from npcbary import bounds
 from npcbary.experiments import draw_indices, trial_rng
 from npcbary.presets import (
     bernstein_config,
@@ -83,6 +84,13 @@ def test_population_barycenter_values():
     assert abs(population_barycenter(dist)[0] - 1.0) <= 1e-9
 
 
+def test_population_barycenter_float_weights():
+    # JSON float weights are exact binary rationals with denominator 2^53
+    obj = json.loads(json.dumps({"support": [[0.0], [1.0]], "weights": [0.9, 1 - 0.9]}))
+    dist = DistributionSpec.from_json(Euclidean(1), obj)
+    assert abs(population_barycenter(dist)[0] - (1 - 0.9)) <= 1e-12
+
+
 def test_population_barycenter_sphere_midpoint():
     space = Sphere(1.0)
     x = space.exp_from_base(np.array([1.0, 0.0]), 0.1)
@@ -142,6 +150,45 @@ def test_run_rademacher_hoeffding(estimator):
     assert rep.sigma == pytest.approx(1.0, abs=1e-8)
     assert rep.C == pytest.approx(1.0, abs=1e-8)
     assert rep.passed
+
+
+@pytest.mark.parametrize("scale", [None, 0.5], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("bound, overrides, radius", [
+    pytest.param("hoeffding", {}, lambda s, C, n, d: bounds.hoeffding_radius(s, C, n, d),
+                 id="hoeffding"),
+    pytest.param("bernstein", {"combine": "min"},
+                 lambda s, C, n, d: bounds.bernstein_radius(s, C, n, d, combine="min"),
+                 id="bernstein-min"),
+    pytest.param("subgaussian", {"K": 0.7},
+                 lambda s, C, n, d: bounds.subgaussian_radius(0.7, s, n, d),
+                 id="subgaussian-K"),
+    pytest.param("noniid_hoeffding", {},
+                 lambda s, C, n, d: bounds.noniid_hoeffding_radius([s] * n, [C] * n, n, d),
+                 id="noniid_hoeffding"),
+    pytest.param("noniid_bernstein", {},
+                 lambda s, C, n, d: bounds.noniid_bernstein_radius([s] * n, C, n, d),
+                 id="noniid_bernstein"),
+])
+def test_bound_value_matches_direct_call(bound, overrides, radius, scale):
+    n, delta = 4, 0.1
+    if scale is not None:
+        overrides = {**overrides, "scale": scale}
+    cfg = ExperimentConfig(
+        distributions=[rademacher()] * (n if bound.startswith("noniid") else 1),
+        n=n, estimator="inductive", trials=3, delta=delta, seed=0,
+        bound=bound, bound_overrides=overrides,
+    )
+    rep = run_concentration(cfg)
+    expected = radius(rep.sigma, rep.C, n, delta) * (1.0 if scale is None else scale)
+    assert rep.bound_value == expected
+
+
+def test_config_rejects_unknown_bound():
+    with pytest.raises(ValueError, match="nope"):
+        ExperimentConfig(
+            distributions=[rademacher()], n=10, estimator="inductive",
+            trials=5, delta=0.1, bound="nope",
+        )
 
 
 def test_run_scaled_down_bound_fails():
