@@ -25,38 +25,49 @@ _COMBINE: dict[str, Callable[[float, float], float]] = {
 }
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or anything float() refuses is
+    a ValueError naming ``name``."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_delta(delta: float) -> float:
-    delta = float(delta)
+    delta = _real(delta, "delta")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return delta
 
 
 def _check_nonneg(value: float, name: str) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 
 def _check_pos(value: float, name: str) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not value > 0.0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
 
 
 def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size n must be >= 1, got {n}")
-    return n
+    x = _real(n, "n")
+    if not (x.is_integer() and x >= 1):
+        raise ValueError(f"sample size n must be an integer >= 1, got {n}")
+    return int(x)
 
 
 def _combine_fn(combine: str) -> Callable[[float, float], float]:
     try:
         return _COMBINE[combine]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"combine must be one of {sorted(_COMBINE)}, got {combine!r}")
 
 
@@ -97,13 +108,20 @@ def bernstein_radius(
     return sigma / math.sqrt(n) + fn(var_term, range_term)
 
 
-def _rms(values: Sequence[float], n: int, name: str) -> float:
-    values = [float(v) for v in values]
+def _nonneg_list(values: Sequence[float], n: int, name: str) -> list[float]:
+    try:
+        values = [_real(v, name) for v in values]
+    except TypeError:
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
     if len(values) != n:
         raise ValueError(f"{name} must have length n={n}, got {len(values)}")
     if any(v < 0 for v in values):
         raise ValueError(f"{name} entries must be >= 0")
-    return math.sqrt(sum(v * v for v in values) / n)
+    return values
+
+
+def _rms(values: Sequence[float], n: int, name: str) -> float:
+    return math.sqrt(sum(v * v for v in _nonneg_list(values, n, name)) / n)
 
 
 def noniid_hoeffding_radius(
@@ -143,12 +161,7 @@ def sturm_lln_bound(sigmas: Sequence[float], n: int) -> float:
     inductive barycenter of independent draws with common barycenter;
     reduces to sigma^2/n in the i.i.d. case."""
     n = _check_n(n)
-    sigmas = [float(s) for s in sigmas]
-    if len(sigmas) != n:
-        raise ValueError(f"sigmas must have length n={n}, got {len(sigmas)}")
-    if any(s < 0 for s in sigmas):
-        raise ValueError("sigmas entries must be >= 0")
-    return sum(s * s for s in sigmas) / (n * n)
+    return sum(s * s for s in _nonneg_list(sigmas, n, "sigmas")) / (n * n)
 
 
 def pac_sample_size(D: float, eps_target: float, delta: float, c_pac: float = 1.0) -> int:
@@ -187,7 +200,7 @@ def k_epsilon(kappa: float, epsilon: float) -> float:
     of the squared distance on balls of radius pi/(2*sqrt(kappa)) - eps in a
     CAT(kappa) space, kappa > 0.  Lies in (0, 2) on the open domain."""
     kappa = _check_pos(kappa, "kappa")
-    epsilon = float(epsilon)
+    epsilon = _real(epsilon, "epsilon")
     limit = math.pi / (2.0 * math.sqrt(kappa))
     if not 0.0 < epsilon < limit:
         raise ValueError(
@@ -216,9 +229,10 @@ def cat_kappa_radius(
     n = _check_n(n)
     delta = _check_delta(delta)
     kappa = _check_pos(kappa, "kappa")
+    epsilon = _real(epsilon, "epsilon")
     sk = math.sqrt(kappa)
     limit = math.pi / (2.0 * sk)
-    if not 0.0 < float(epsilon) < limit:
+    if not 0.0 < epsilon < limit:
         raise ValueError(
             f"epsilon must be in (0, pi/(2*sqrt(kappa))) = (0, {limit}), got {epsilon}"
         )

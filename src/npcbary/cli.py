@@ -9,9 +9,12 @@ Subcommands::
     check        run the NPC property suite for one space
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 convergence
-failure, 4 property-suite or coverage failure.  All randomness flows from the
-single seed in the config or flags (default 0); nothing reads an entropy
-source implicitly.
+failure, 4 property-suite or coverage failure.  Every JSON input is read
+through ``spaces.read_field``/``read_items``, so malformed input is a
+:class:`SpaceError` naming the field and exits 2; ``main`` catches only
+``SpaceError`` and ``ConvergenceError``, and any other exception is a bug that
+surfaces as a traceback.  All randomness flows from the single seed in the
+config or flags (default 0); nothing reads an entropy source implicitly.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import presets
 from .barycenter import (
@@ -37,6 +38,8 @@ from .spaces import (
     SpaceError,
     SpdAffine,
     point_from_json,
+    read_field,
+    read_items,
     space_from_json,
 )
 
@@ -70,10 +73,8 @@ def _dump_json(obj, path: str | None):
 
 def _load_points(path: str) -> tuple[Space, list]:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "space" not in obj or "points" not in obj:
-        raise SpaceError(f"{path}: expected an object with 'space' and 'points'")
-    space = space_from_json(obj["space"])
-    points = [point_from_json(space, p) for p in obj["points"]]
+    space = space_from_json(read_field(obj, "space", dict))
+    points = read_items(obj, "points", lambda p: point_from_json(space, p))
     if not points:
         raise SpaceError(f"{path}: needs at least one point")
     return space, points
@@ -97,17 +98,12 @@ def cmd_barycenter(args) -> int:
 
 def cmd_gm(args) -> int:
     obj = _load_json(args.input)
-    if not isinstance(obj, dict) or "matrices" not in obj:
-        raise SpaceError(f"{args.input}: expected an object with a 'matrices' field")
-    mats = [np.asarray(m, dtype=float) for m in obj["matrices"]]
+    mats = read_field(obj, "matrices", list)
+    p = len(mats[0]) if mats and isinstance(mats[0], list) else 1
+    space = SpdAffine(max(p, 1))
+    mats = read_items(obj, "matrices", space.payload_from_json)
     if not mats:
-        raise SpaceError("needs at least one matrix")
-    p = mats[0].shape[0] if mats[0].ndim == 2 else 0
-    space = SpdAffine(p if p >= 1 else 1)
-    for i, m in enumerate(mats):
-        diag = space.validate_point(m)
-        if diag is not None:
-            raise SpaceError(f"matrix {i}: {diag}")
+        raise SpaceError("field 'matrices' needs at least one matrix")
     inductive = inductive_barycenter(space, mats)
     cyclic = empirical_barycenter(space, mats, tol=args.tol, max_cycles=args.max_cycles)
     _dump_json(
@@ -127,13 +123,12 @@ def cmd_gm(args) -> int:
 
 def cmd_bounds(args) -> int:
     query = _load_json(args.input)
-    if not isinstance(query, dict) or "bound" not in query:
-        raise SpaceError(f"{args.input}: expected an object with a 'bound' name")
+    name = read_field(query, "bound", str)
     try:
-        value = evaluate_bound(query["bound"], query)
+        value = evaluate_bound(name, query)
     except ValueError as exc:
         raise SpaceError(str(exc)) from exc
-    _dump_json({"bound": query["bound"], "value": value, "query": query}, args.output)
+    _dump_json({"bound": name, "value": value, "query": query}, args.output)
     return EXIT_OK
 
 
@@ -236,7 +231,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (SpaceError, KeyError, TypeError) as exc:
+    except SpaceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

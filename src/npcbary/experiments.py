@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -24,7 +24,6 @@ from . import bounds
 from .barycenter import (
     ConvergenceError,
     WeightedSample,
-    as_fraction,
     empirical_barycenter,
     frechet_variance,
     inductive_barycenter,
@@ -40,6 +39,8 @@ from .spaces import (
     SpdAffine,
     Sphere,
     point_from_json,
+    read_field,
+    read_items,
     space_from_json,
     space_to_json,
     spd_exp,
@@ -130,12 +131,11 @@ class DistributionSpec:
 
     @classmethod
     def from_json(cls, space: Space, obj: dict) -> "DistributionSpec":
-        weights = obj.get("weights")
         return cls(
             space=space,
-            support=[point_from_json(space, p) for p in obj["support"]],
-            weights=None if weights is None else tuple(as_fraction(w) for w in weights),
-            label=obj.get("label", ""),
+            support=read_items(obj, "support", lambda p: point_from_json(space, p)),
+            weights=read_field(obj, "weights", list, None),
+            label=read_field(obj, "label", str, ""),
         )
 
 
@@ -246,23 +246,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        space = space_from_json(obj["space"])
-        bound = obj.get("bound", {})
+        space = space_from_json(read_field(obj, "space", dict))
+        bound = read_field(obj, "bound", (str, dict), {})
         if isinstance(bound, str):
             bound = {"name": bound}
+        overrides = read_field(bound, "overrides", dict, {})
+        for name, kind in (("K", float), ("scale", float), ("combine", str)):
+            if name in overrides:
+                read_field(overrides, name, kind)
         return cls(
-            distributions=[
-                DistributionSpec.from_json(space, d) for d in obj["distributions"]
-            ],
-            n=int(obj["n"]),
-            estimator=obj.get("estimator", "empirical"),
-            trials=int(obj["trials"]),
-            delta=float(obj["delta"]),
-            seed=int(obj.get("seed", 0)),
-            tol=None if obj.get("tol") is None else float(obj["tol"]),
-            bound=bound.get("name", "hoeffding"),
-            bound_overrides=dict(bound.get("overrides", {})),
-            label=obj.get("label", ""),
+            distributions=read_items(
+                obj, "distributions", lambda d: DistributionSpec.from_json(space, d)
+            ),
+            n=read_field(obj, "n", int),
+            estimator=read_field(obj, "estimator", str, "empirical"),
+            trials=read_field(obj, "trials", int),
+            delta=read_field(obj, "delta", float),
+            seed=read_field(obj, "seed", int, 0),
+            tol=read_field(obj, "tol", float, None),
+            bound=read_field(bound, "name", str, "hoeffding"),
+            bound_overrides=dict(overrides),
+            label=read_field(obj, "label", str, ""),
         )
 
 
@@ -290,9 +294,7 @@ class TrialReport:
     wall_clock_s: float
 
     def to_json(self) -> dict:
-        out = dict(self.__dict__)
-        out["distances"] = list(self.distances)
-        return out
+        return asdict(self)
 
     def csv_lines(self) -> list[str]:
         lines = ["trial,distance,covered"]
@@ -436,7 +438,7 @@ class SturmReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 def verify_sturm_lln(config: ExperimentConfig) -> SturmReport:
@@ -483,14 +485,7 @@ class WitnessReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "C": self.C,
-            "mean_f": self.mean_f,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": [dict(r.__dict__) for r in self.rows],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_subgaussian_witness(
@@ -549,7 +544,7 @@ class PacReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 def run_pac(
@@ -663,14 +658,7 @@ class PropertyCheck:
         return self.violations == 0
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "violations": self.violations,
-            "max_excess": self.max_excess,
-            "witness": self.witness,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass

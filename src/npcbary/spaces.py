@@ -25,7 +25,8 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -58,20 +59,14 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _as_vector(payload, length: int, what: str) -> np.ndarray:
-    x = np.asarray(payload, dtype=float)
-    if x.shape != (length,):
-        raise SpaceError(f"{what}: expected a vector of length {length}, got shape {x.shape}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
 
 
 class Space:
-    """Common interface of all concrete spaces."""
+    """Common interface of all concrete spaces.  The defaults serve the array
+    spaces, whose points are float arrays of shape ``point_shape``."""
 
     kind: str = ""
 
@@ -84,7 +79,19 @@ class Space:
 
     def validate_point(self, p) -> str | None:
         """Return None if ``p`` is a valid point, else a diagnostic string."""
-        raise NotImplementedError
+        try:
+            q = np.asarray(p, dtype=float)
+        except (TypeError, ValueError):
+            return "not a numeric array"
+        if q.shape != self.point_shape:
+            return f"expected an array of shape {self.point_shape}, got shape {q.shape}"
+        if not np.all(np.isfinite(q)):
+            return "non-finite entry"
+        return self._constraint_violation(q)
+
+    def _constraint_violation(self, q: np.ndarray) -> str | None:
+        """Diagnostic for a finite array of the right shape off the manifold."""
+        return None
 
     def check_point(self, p):
         """Validate ``p``, raising :class:`SpaceError` with the diagnostic."""
@@ -99,13 +106,13 @@ class Space:
     # serialization -------------------------------------------------------
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **asdict(self)}
 
     def payload_to_json(self, p):
-        raise NotImplementedError
+        return np.asarray(p, dtype=float).tolist()
 
     def payload_from_json(self, payload):
-        raise NotImplementedError
+        return np.asarray(self.check_point(payload), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +130,10 @@ class Euclidean(Space):
         if self.dim < 1:
             raise SpaceError("euclidean: dimension must be >= 1")
 
+    @property
+    def point_shape(self) -> tuple:
+        return (self.dim,)
+
     def dist(self, x, y) -> float:
         d = x - y
         return math.sqrt(float(d @ d))
@@ -130,23 +141,6 @@ class Euclidean(Space):
     def geodesic_point(self, x, y, t):
         t = _check_t(t)
         return (1.0 - t) * x + t * y
-
-    def validate_point(self, p) -> str | None:
-        q = np.asarray(p, dtype=float)
-        if q.shape != (self.dim,):
-            return f"expected a vector of length {self.dim}, got shape {q.shape}"
-        if not np.all(np.isfinite(q)):
-            return "non-finite coordinate"
-        return None
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
-
-    def payload_to_json(self, p):
-        return np.asarray(p, dtype=float).tolist()
-
-    def payload_from_json(self, payload):
-        return self.check_point(_as_vector(payload, self.dim, "euclidean point"))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +175,11 @@ class Hyperbolic(Space):
             raise SpaceError("hyperbolic: dimension must be >= 1")
 
     @property
-    def ambient_dim(self) -> int:
-        return self.dim + 1
+    def point_shape(self) -> tuple:
+        return (self.dim + 1,)
 
     def base_point(self) -> np.ndarray:
-        x = np.zeros(self.ambient_dim)
+        x = np.zeros(self.point_shape)
         x[-1] = 1.0 / math.sqrt(-self.kappa)
         return x
 
@@ -219,17 +213,12 @@ class Hyperbolic(Space):
         """Point at metric distance ``radius`` from the base point, in the
         tangent direction given by a Euclidean unit vector of length dim."""
         sk = math.sqrt(-self.kappa)
-        u = np.zeros(self.ambient_dim)
+        u = np.zeros(self.point_shape)
         u[:-1] = direction
         out = math.cosh(radius * sk) * self.base_point() + (math.sinh(radius * sk) / sk) * u
         return out
 
-    def validate_point(self, p) -> str | None:
-        q = np.asarray(p, dtype=float)
-        if q.shape != (self.ambient_dim,):
-            return f"expected a vector of length {self.ambient_dim}, got shape {q.shape}"
-        if not np.all(np.isfinite(q)):
-            return "non-finite coordinate"
+    def _constraint_violation(self, q):
         if q[-1] <= 0:
             return f"last coordinate must be > 0 (upper sheet), got {q[-1]}"
         m = self.kappa * _mink(q, q)
@@ -237,15 +226,6 @@ class Hyperbolic(Space):
         if abs(m - 1.0) > REL_POINT_TOL * scale:
             return f"not on the hyperboloid sheet: kappa*<x,x>_M = {m}, expected 1"
         return None
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "kappa": self.kappa, "dim": self.dim}
-
-    def payload_to_json(self, p):
-        return np.asarray(p, dtype=float).tolist()
-
-    def payload_from_json(self, payload):
-        return self.check_point(_as_vector(payload, self.ambient_dim, "hyperbolic point"))
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +254,15 @@ class Sphere(Space):
             raise SpaceError("sphere: dimension must be >= 1")
 
     @property
-    def ambient_dim(self) -> int:
-        return self.dim + 1
+    def point_shape(self) -> tuple:
+        return (self.dim + 1,)
 
     @property
     def radius(self) -> float:
         return 1.0 / math.sqrt(self.kappa)
 
     def base_point(self) -> np.ndarray:
-        x = np.zeros(self.ambient_dim)
+        x = np.zeros(self.point_shape)
         x[0] = self.radius
         return x
 
@@ -320,29 +300,15 @@ class Sphere(Space):
         """Walk ``radius`` along the great circle leaving the base point in the
         tangent direction (a Euclidean unit vector orthogonal to e_1)."""
         sk = math.sqrt(self.kappa)
-        u = np.zeros(self.ambient_dim)
+        u = np.zeros(self.point_shape)
         u[1:] = direction
         return math.cos(radius * sk) * self.base_point() + (math.sin(radius * sk) / sk) * u
 
-    def validate_point(self, p) -> str | None:
-        q = np.asarray(p, dtype=float)
-        if q.shape != (self.ambient_dim,):
-            return f"expected a vector of length {self.ambient_dim}, got shape {q.shape}"
-        if not np.all(np.isfinite(q)):
-            return "non-finite coordinate"
+    def _constraint_violation(self, q):
         nrm = math.sqrt(float(q @ q))
         if abs(nrm - self.radius) > REL_POINT_TOL * self.radius:
             return f"norm violation: |x| = {nrm}, expected {self.radius}"
         return None
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "kappa": self.kappa, "dim": self.dim}
-
-    def payload_to_json(self, p):
-        return np.asarray(p, dtype=float).tolist()
-
-    def payload_from_json(self, payload):
-        return self.check_point(_as_vector(payload, self.ambient_dim, "sphere point"))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +439,10 @@ class SpdAffine(Space):
         if self.p < 1:
             raise SpaceError("spd_affine: matrix size p must be >= 1")
 
+    @property
+    def point_shape(self) -> tuple:
+        return (self.p, self.p)
+
     def dist(self, x, y) -> float:
         if self.p == 2:
             return _spd2_dist(x, y)
@@ -491,12 +461,7 @@ class SpdAffine(Space):
         mid = spd_power(isq @ y @ isq, t)
         return sym_part(sq @ mid @ sq)
 
-    def validate_point(self, p) -> str | None:
-        q = np.asarray(p, dtype=float)
-        if q.shape != (self.p, self.p):
-            return f"expected a {self.p}x{self.p} matrix, got shape {q.shape}"
-        if not np.all(np.isfinite(q)):
-            return "non-finite entry"
+    def _constraint_violation(self, q):
         scale = max(1.0, float(np.abs(q).max()))
         if float(np.abs(q - q.T).max()) > REL_POINT_TOL * scale:
             return "not symmetric"
@@ -504,20 +469,6 @@ class SpdAffine(Space):
         if wmin <= 0:
             return f"positivity violation (smallest eigenvalue {wmin})"
         return None
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "p": self.p}
-
-    def payload_to_json(self, p):
-        return np.asarray(p, dtype=float).tolist()
-
-    def payload_from_json(self, payload):
-        q = np.asarray(payload, dtype=float)
-        if q.shape != (self.p, self.p):
-            raise SpaceError(
-                f"spd point: expected a {self.p}x{self.p} row-major matrix, got shape {q.shape}"
-            )
-        return self.check_point(q)
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +753,13 @@ class MetricTree(Space):
         return {"edge": p.edge, "offset": p.offset}
 
     def payload_from_json(self, payload):
-        if not isinstance(payload, dict):
-            raise SpaceError("tree point payload must be an object")
-        if "vertex" in payload:
-            return self.vertex_point(payload["vertex"])
-        if "edge" in payload:
-            return self.edge_point(int(payload["edge"]), float(payload.get("offset", 0.0)))
-        raise SpaceError("tree point payload needs a 'vertex' or 'edge' field")
+        vertex = read_field(payload, "vertex", _VERTEX_ID, None)
+        if vertex is not None:
+            return self.vertex_point(vertex)
+        edge = read_field(payload, "edge", int, None)
+        if edge is None:
+            raise SpaceError("tree point payload needs a 'vertex' or 'edge' field")
+        return self.edge_point(edge, read_field(payload, "offset", float, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -836,36 +787,87 @@ def space_to_json(space: Space) -> dict:
     return space.descriptor()
 
 
-def _number_field(obj: dict, name: str, cast, default=None):
-    """obj[name] as int or float; a missing or non-numeric value is a SpaceError naming it."""
-    value = obj.get(name, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpaceError(f"space field {name!r} must be a number, got {value!r}") from exc
+# JSON input ------------------------------------------------------------------
+
+_REQUIRED = object()
+
+_VERTEX_ID = (str, int)
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
+               dict: "an object", _VERTEX_ID: "a string or an integer",
+               (str, dict): "a string or an object"}
+
+
+def _of_kind(value, kind, what: str):
+    """``value`` checked against ``kind``: int takes integral numbers, float
+    finite numbers, any other type or tuple of types is an isinstance test.
+    JSON true/false match no kind.  A mismatch is a SpaceError naming ``what``."""
+    if not isinstance(value, bool):
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if kind is int and integral:
+            return int(value)
+        if kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if kind not in (int, float) and isinstance(value, kind):
+            return value
+    raise SpaceError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def read_field(obj, name: str, kind, default=_REQUIRED):
+    """``obj[name]`` checked by :func:`_of_kind`.  A missing field gives
+    ``default``, and null is accepted where the default is None.  A
+    non-object ``obj``, a missing required field or a value of another kind
+    is a SpaceError naming the field."""
+    if not isinstance(obj, dict):
+        raise SpaceError(f"expected an object with field {name!r}, got {obj!r}")
+    if name not in obj:
+        if default is _REQUIRED:
+            raise SpaceError(f"missing field {name!r}")
+        return default
+    if obj[name] is None and default is None:
+        return None
+    return _of_kind(obj[name], kind, f"field {name!r}")
+
+
+def read_items(obj, name: str, parse) -> list:
+    """The list field ``obj[name]`` with ``parse`` applied to each item; an
+    item's SpaceError is re-raised naming ``name[i]``."""
+    out = []
+    for i, item in enumerate(read_field(obj, name, list)):
+        try:
+            out.append(parse(item))
+        except SpaceError as exc:
+            raise SpaceError(f"{name}[{i}]: {exc}") from exc
+    return out
+
+
+def _vertex_id(v):
+    return _of_kind(v, _VERTEX_ID, "vertex id")
+
+
+def _tree_edge(e) -> tuple:
+    if not (isinstance(e, list) and len(e) == 3):
+        raise SpaceError(f"a tree edge must be [u, v, length], got {e!r}")
+    u, v, length = e
+    return (_vertex_id(u), _vertex_id(v), _of_kind(length, float, "edge length"))
 
 
 def space_from_json(obj: dict) -> Space:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpaceError("space descriptor must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "euclidean":
-        return Euclidean(dim=_number_field(obj, "dim", int))
-    if kind == "hyperbolic":
-        return Hyperbolic(kappa=_number_field(obj, "kappa", float),
-                          dim=_number_field(obj, "dim", int, 2))
-    if kind == "spd_affine":
-        return SpdAffine(p=_number_field(obj, "p", int))
-    if kind == "sphere":
-        return Sphere(kappa=_number_field(obj, "kappa", float),
-                      dim=_number_field(obj, "dim", int, 2))
-    if kind == "metric_tree":
-        tree = obj.get("tree", {})
+    kind = read_field(obj, "kind", str)
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise SpaceError(f"unknown space kind {kind!r} (known: {sorted(_KINDS)})")
+    if cls is MetricTree:
+        tree = read_field(obj, "tree", dict)
         return MetricTree(
-            vertices=tuple(tree["vertices"]),
-            edges=tuple((e[0], e[1], float(e[2])) for e in tree["edges"]),
+            vertices=tuple(read_items(tree, "vertices", _vertex_id)),
+            edges=tuple(read_items(tree, "edges", _tree_edge)),
         )
-    raise SpaceError(f"unknown space kind {kind!r} (known: {sorted(_KINDS)})")
+    return cls(**{
+        f.name: read_field(obj, f.name, {"int": int, "float": float}[f.type],
+                           _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+    })
 
 
 def point_to_json(space: Space, p) -> dict:

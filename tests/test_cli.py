@@ -1,13 +1,18 @@
 """End-to-end CLI runs over the JSON file formats and the exit-code
 contract: 0 success, 2 input error, 3 convergence failure, 4 check failure."""
 
+import copy
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npcbary.cli import main
 
@@ -270,3 +275,138 @@ def test_console_entry_point():
     )
     assert proc.returncode == 2
     assert "input error" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 naming the field, never a traceback
+# ---------------------------------------------------------------------------
+
+STAR = {"kind": "metric_tree",
+        "tree": {"vertices": ["a", "b", "c", "o"],
+                 "edges": [["o", "a", 1.0], ["o", "b", 1.0], ["o", "c", 1.0]]}}
+
+# One valid input per reader, with the arguments that read it.
+VALID_INPUTS = {
+    "euclidean": (["barycenter", "--input"], {
+        "space": {"kind": "euclidean", "dim": 2},
+        "points": [[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]],
+    }),
+    "hyperbolic": (["barycenter", "--input"], {
+        "space": {"kind": "hyperbolic", "kappa": -1.0, "dim": 2},
+        "points": [[0.0, 0.0, 1.0], [0.75, 0.0, 1.25], [0.0, 0.75, 1.25]],
+    }),
+    "spd_affine": (["barycenter", "--input"], {
+        "space": {"kind": "spd_affine", "p": 2},
+        "points": [[[2.0, 0.3], [0.3, 1.5]], [[1.0, 0.0], [0.0, 1.0]]],
+    }),
+    "sphere": (["barycenter", "--input"], {
+        "space": {"kind": "sphere", "kappa": 1.0, "dim": 2},
+        "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]],
+    }),
+    "metric_tree": (["barycenter", "--tol", "1e-3", "--input"], {
+        "space": STAR,
+        "points": [{"vertex": "a"}, {"edge": 0, "offset": 0.25}, {"vertex": "c"}],
+    }),
+    "gm": (["gm", "--input"], {
+        "matrices": [[[2.0, 0.3], [0.3, 1.5]], [[1.0, 0.0], [0.0, 1.0]]],
+    }),
+    "config": (["experiment", "--config"], {
+        "label": "pm1",
+        "space": {"kind": "euclidean", "dim": 1},
+        "distributions": [{"support": [[-1.0], [1.0]], "weights": ["1/2", "1/2"],
+                           "label": "pm1"}],
+        "n": 5, "estimator": "empirical", "trials": 3, "delta": 0.1, "seed": 0, "tol": None,
+        "bound": {"name": "bernstein",
+                  "overrides": {"K": 2.0, "scale": 1.0, "combine": "max"}},
+    }),
+    "query": (["bounds", "--input"], {
+        "bound": "hoeffding", "sigma": 1.0, "C": 1.0, "n": 100, "delta": 0.05,
+    }),
+    "noniid_query": (["bounds", "--input"], {
+        "bound": "noniid_bernstein", "sigmas": [0.5, 0.5], "C": 1.0, "n": 2, "delta": 0.1,
+        "combine": "max",
+    }),
+}
+
+
+def run_input(doc, command, directory: Path) -> int:
+    path = write(directory / "input.json", doc)
+    return main(command + [path, "--output", str(directory / "out.json")])
+
+
+DELETE = object()
+
+
+def mutated(name, path, value):
+    """VALID_INPUTS[name] with the value at ``path`` (keys and indices)
+    replaced by ``value``, or removed if it is DELETE."""
+    command, doc = VALID_INPUTS[name]
+    doc = copy.deepcopy(doc)
+    if not path:
+        return command, value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return command, doc
+
+
+@pytest.mark.parametrize("name, path, value, needle", [
+    # reproduced as a traceback (exit 1) before the shared reader
+    ("euclidean", ("points", 1), [1.0, "x"], "points[1]"),
+    ("spd_affine", ("points", 0), [[2.0, 0.3], [0.3]], "points[0]"),
+    ("metric_tree", ("space", "tree", "edges", 1, 2), "long", "edges[1]"),
+    ("metric_tree", ("points", 1), {"edge": "zero"}, "'edge'"),
+    ("gm", ("matrices", 1), [[1.0, 0.0], [0.0]], "matrices[1]"),
+    ("config", ("bound",), [1], "'bound'"),
+    ("config", ("distributions",), [5], "distributions[0]"),
+    # reproduced as a silent run with dim 2 (exit 0)
+    ("euclidean", ("space", "dim"), 2.7, "'dim'"),
+    # exit 2 before only through a KeyError/TypeError catch-all in main
+    ("config", ("bound", "overrides", "K"), None, "'K'"),
+    ("config", ("bound", "overrides", "scale"), None, "'scale'"),
+    ("config", ("bound", "overrides", "combine"), [1], "'combine'"),
+    ("euclidean", ("points",), 5, "'points'"),
+    ("gm", ("matrices",), 3, "'matrices'"),
+    ("config", ("n",), DELETE, "'n'"),
+    ("query", ("sigma",), None, "sigma must"),
+    ("noniid_query", ("sigmas",), 3, "sigmas must"),
+], ids=["points-payload", "spd-ragged", "tree-edge-length", "tree-point-edge", "gm-ragged",
+        "config-bound", "config-distributions", "dim-nonintegral", "override-K",
+        "override-scale", "override-combine", "points-number", "matrices-number",
+        "config-no-n", "query-sigma", "query-sigmas"])
+def test_malformed_input_exit_code(tmp_path, capsys, name, path, value, needle):
+    command, doc = mutated(name, path, value)
+    assert run_input(doc, command, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+
+
+def _paths(doc, prefix=()):
+    """Every path of keys and indices into ``doc``, the root () included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, prefix + (key,))
+
+
+MUTATION_TARGETS = [(name, path) for name, (_, doc) in VALID_INPUTS.items()
+                    for path in _paths(doc)]
+MUTATION_VALUES = [None, "x", 2.7, -1, [], {}, [1], True]
+
+
+@pytest.mark.parametrize("name", sorted(VALID_INPUTS))
+def test_valid_inputs_run(tmp_path, name):
+    command, doc = VALID_INPUTS[name]
+    assert run_input(doc, command, tmp_path) == 0
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(target=st.sampled_from(MUTATION_TARGETS), value=st.sampled_from(MUTATION_VALUES))
+def test_mutated_input_exit_code(target, value):
+    command, doc = mutated(*target, value)
+    with tempfile.TemporaryDirectory() as directory:
+        assert run_input(doc, command, Path(directory)) in (0, 2, 3, 4)
