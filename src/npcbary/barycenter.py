@@ -5,7 +5,9 @@ recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
 but needs only geodesics.  The empirical barycenter extends the same
 recursion over the periodic repetition of the input and stops once a full
 cycle of n steps moves the iterate by at most ``tol`` (cyclic convergence to
-the Frechet mean holds in any NPC space).
+the Frechet mean holds in any NPC space).  On a metric tree, where the
+Frechet functional is a convex quadratic along each edge, the empirical and
+weighted barycenters are computed exactly instead.
 
 Weighted barycenters run the weighted form of the same cyclic recursion
 (Sturm 2003; Lim & Palfia 2014): one cycle is one pass over the
@@ -115,10 +117,6 @@ class WeightedSample:
                 raise SpaceError("at least one weight must be positive")
             self.weights = ws
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
     def resolved_weights(self) -> tuple[Fraction, ...]:
         if self.weights is not None:
             return self.weights
@@ -174,13 +172,11 @@ def empirical_barycenter(
     """Frechet mean by cyclic continuation of the inductive recursion.
 
     The input is extended periodically and the recursion continued; the
-    iteration stops once a full cycle of n steps moves the iterate by at most
-    ``tol``, measured d(s_{qn}, s_{(q-1)n}), for two cycles in a row.  A
-    single qualifying cycle is not trusted: on branching spaces the cycle
-    map can transiently reproduce its input exactly at a point far from the
-    limit (consecutive cycle ends coincide, then the iteration moves on), so
-    one small displacement does not certify stationarity.  Raises
+    iteration stops at the first full cycle of n steps that moves the iterate
+    by at most ``tol``, measured d(s_{qn}, s_{(q-1)n}).  Raises
     :class:`ConvergenceError` if ``max_cycles`` cycles do not reach ``tol``.
+    Metric trees are solved in closed form by
+    :meth:`~npcbary.spaces.MetricTree.frechet_mean`, with no iteration.
     """
     n = len(points)
     if n < 1:
@@ -195,13 +191,18 @@ def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int], to
                        max_cycles: int):
     """Weighted cyclic recursion: each cycle visits every atom once and steps
     toward atom i with t = m_i / W, W the running total of the integer counts
-    including this visit.  Stops as :func:`empirical_barycenter` describes;
-    returns the iterate, the geodesic steps and the last cycle displacement."""
+    including this visit.  Stops at the first cycle that moves the iterate by
+    at most ``tol``; returns the iterate, the geodesic steps and the last
+    cycle displacement.  A metric tree returns its exact weighted mean with
+    no steps."""
     if not tol > 0:
         raise SpaceError("tol must be > 0")
     n = len(points)
     if n == 1:
         return points[0], 0, 0.0
+    if isinstance(space, MetricTree):
+        total = sum(counts)
+        return space.frechet_mean(points, [m / total for m in counts]), 0, 0.0
 
     geodesic = space.geodesic_point
     s = points[0]
@@ -211,7 +212,6 @@ def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int], to
         total += m
         s = geodesic(s, x, m / total)
     prev_end = s
-    small_streak = 0
     disp = math.inf
     for cycle in range(2, max_cycles + 1):
         for x, m in zip(points, counts):
@@ -219,11 +219,7 @@ def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int], to
             s = geodesic(s, x, m / total)
         disp = space.dist(s, prev_end)
         if disp <= tol:
-            small_streak += 1
-            if small_streak >= 2:
-                return s, cycle * n - 1, disp
-        else:
-            small_streak = 0
+            return s, cycle * n - 1, disp
         prev_end = s
     raise ConvergenceError(
         f"cyclic barycenter did not converge to {tol} within {max_cycles} cycles "

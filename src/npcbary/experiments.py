@@ -38,6 +38,7 @@ from .spaces import (
     SpaceError,
     SpdAffine,
     Sphere,
+    check_keys,
     point_from_json,
     read_field,
     read_items,
@@ -53,14 +54,9 @@ from .spaces import (
 Z_SLACK = 3.0
 
 # Solver tolerances: trial barycenters only need to resolve distances far
-# below the bound radius; ground truths are held tighter.  On branching
-# spaces the per-cycle displacement of the cyclic solver decays like
-# 1/cycles (the iterate wobbles around the sticky limit), so the ground
-# truth rule is relaxed there; stickiness keeps the actual error at the
-# displacement scale.
+# below the bound radius; ground truths are held tighter.
 TRIAL_TOL_REL = 1e-4
 GROUND_TRUTH_TOL_REL = 1e-9
-TREE_GROUND_TRUTH_TOL_REL = 1e-5
 
 # Slack (relative to 1 + d1) absorbing the cyclic solver's distance-to-limit
 # gap in empirical-barycenter Lipschitz checks; the stopping rule controls
@@ -71,6 +67,9 @@ ESTIMATORS = ("empirical", "inductive")
 
 # The radii a coverage run can check, evaluated through bounds.BOUND_EVALUATORS.
 COVERAGE_BOUNDS = ("subgaussian", "hoeffding", "bernstein", "noniid_hoeffding", "noniid_bernstein")
+
+# The bound overrides _resolve_bound reads, with their JSON kinds.
+BOUND_OVERRIDES = {"K": float, "scale": float, "combine": str}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -106,10 +105,6 @@ class DistributionSpec:
         cum.flags.writeable = False
         self._cum = cum
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.support)
-
     def cumulative_weights(self) -> np.ndarray:
         """Read-only cumulative weights, last entry exactly 1."""
         return self._cum
@@ -131,9 +126,11 @@ class DistributionSpec:
 
     @classmethod
     def from_json(cls, space: Space, obj: dict) -> "DistributionSpec":
+        support = read_items(obj, "support", lambda p: point_from_json(space, p))
+        check_keys(obj, ("support", "weights", "label"))
         return cls(
             space=space,
-            support=read_items(obj, "support", lambda p: point_from_json(space, p)),
+            support=support,
             weights=read_field(obj, "weights", list, None),
             label=read_field(obj, "label", str, ""),
         )
@@ -159,8 +156,7 @@ def population_barycenter(dist: DistributionSpec, tol: float | None = None):
                 f"pi/(2*sqrt(kappa)) = {limit}, best support-centered radius is {radius}"
             )
     if tol is None:
-        rel = TREE_GROUND_TRUTH_TOL_REL if isinstance(space, MetricTree) else GROUND_TRUTH_TOL_REL
-        tol = rel * (1.0 + dist.diameter())
+        tol = GROUND_TRUTH_TOL_REL * (1.0 + dist.diameter())
     return weighted_barycenter(space, dist.as_weighted_sample(), tol=tol).point
 
 
@@ -218,6 +214,7 @@ class ExperimentConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.bound not in COVERAGE_BOUNDS:
             raise ValueError(f"bound must be one of {COVERAGE_BOUNDS}, got {self.bound!r}")
+        check_keys(self.bound_overrides, BOUND_OVERRIDES)
         spaces = {d.space for d in self.distributions}
         if len(spaces) != 1:
             raise ValueError("all distributions must live on the same space")
@@ -247,11 +244,14 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         space = space_from_json(read_field(obj, "space", dict))
+        check_keys(obj, ("label", "space", "distributions", "n", "estimator", "trials",
+                         "delta", "seed", "tol", "bound"))
         bound = read_field(obj, "bound", (str, dict), {})
         if isinstance(bound, str):
             bound = {"name": bound}
         overrides = read_field(bound, "overrides", dict, {})
-        for name, kind in (("K", float), ("scale", float), ("combine", str)):
+        check_keys(bound, ("name", "overrides"))
+        for name, kind in BOUND_OVERRIDES.items():
             if name in overrides:
                 read_field(overrides, name, kind)
         return cls(
@@ -649,13 +649,22 @@ def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence, scale:
 class PropertyCheck:
     name: str
     samples: int
-    violations: int
-    max_excess: float
+    violations: int = 0
+    max_excess: float = -math.inf
     witness: dict | None = None
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
+
+    def record(self, excess: float, witness: Callable[[], dict], slack: float = 0.0):
+        """Fold in one instance: ``excess`` raises ``max_excess``, and above
+        ``slack`` it is a violation; the first violation keeps ``witness()``."""
+        self.max_excess = max(self.max_excess, excess)
+        if excess > slack:
+            self.violations += 1
+            if self.witness is None:
+                self.witness = witness()
 
     def to_json(self) -> dict:
         return {**asdict(self), "ok": self.ok}
@@ -699,7 +708,7 @@ def npc_property_suite(
     seed: int = 0,
     tuple_pairs: int = 200,
     n_range: tuple[int, int] = (2, 10),
-    solver_tol_rel: float | None = None,
+    solver_tol_rel: float = 1e-6,
 ) -> PropertySuiteReport:
     """Randomized verification of the structural properties that hold in
     non-positively curved spaces: the midpoint inequality, constant-speed
@@ -714,52 +723,30 @@ def npc_property_suite(
     for name, count in (("samples", samples), ("tuple_pairs", tuple_pairs)):
         if count < 1:
             raise SpaceError(f"{name} must be >= 1, got {count}")
-    if solver_tol_rel is None:
-        solver_tol_rel = 1e-4 if isinstance(space, MetricTree) else 1e-6
     rng = np.random.default_rng(seed)
-    checks = []
+    to_json = space.payload_to_json
 
-    worst = -math.inf
-    violations = 0
-    witness = None
+    midpoint = PropertyCheck("midpoint_inequality", samples)
     for _ in range(samples):
         x, y, z = (random_point(space, rng) for _ in range(3))
         excess, sq_scale = npc_midpoint_excess(space, x, y, z)
-        slack = 1e-8 * (1.0 + sq_scale)
-        worst = max(worst, excess)
-        if excess > slack:
-            violations += 1
-            if witness is None:
-                witness = {
-                    "x": space.payload_to_json(x),
-                    "y": space.payload_to_json(y),
-                    "z": space.payload_to_json(z),
-                    "excess": excess,
-                }
-    checks.append(PropertyCheck("midpoint_inequality", samples, violations, worst, witness))
+        midpoint.record(excess, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
+                                         "excess": excess},
+                        slack=1e-8 * (1.0 + sq_scale))
 
-    worst = -math.inf
-    violations = 0
-    witness = None
+    speed = PropertyCheck("constant_speed", samples)
     for _ in range(samples):
         x, y = random_point(space, rng), random_point(space, rng)
         s, t = rng.uniform(), rng.uniform()
         d = space.dist(x, y)
         err = abs(space.dist(space.geodesic_point(x, y, s), space.geodesic_point(x, y, t))
                   - abs(s - t) * d)
-        excess = err - 1e-8 * (1.0 + d)
-        worst = max(worst, excess)
-        if excess > 0:
-            violations += 1
-            if witness is None:
-                witness = {"x": space.payload_to_json(x), "y": space.payload_to_json(y),
-                           "s": s, "t": t, "error": err}
-    checks.append(PropertyCheck("constant_speed", samples, violations, worst, witness))
+        speed.record(err - 1e-8 * (1.0 + d),
+                     lambda: {"x": to_json(x), "y": to_json(y), "s": s, "t": t, "error": err})
+    checks = [midpoint, speed]
 
     for estimator in ("inductive", "empirical"):
-        worst = -math.inf
-        violations = 0
-        witness = None
+        check = PropertyCheck(f"lipschitz_{estimator}", tuple_pairs)
         for _ in range(tuple_pairs):
             n = int(rng.integers(n_range[0], n_range[1] + 1))
             xs = random_tuple(space, rng, n)
@@ -775,13 +762,7 @@ def npc_property_suite(
                 ty = empirical_barycenter(space, ys, tol=tol).point
                 slack = 2.0 * tol + LIPSCHITZ_SLACK_REL * (1.0 + d1)
             excess = space.dist(tx, ty) - d1 / n - slack
-            worst = max(worst, excess)
-            if excess > 0:
-                violations += 1
-                if witness is None:
-                    witness = {"n": n, "d1": d1, "excess": excess}
-        checks.append(
-            PropertyCheck(f"lipschitz_{estimator}", tuple_pairs, violations, worst, witness)
-        )
+            check.record(excess, lambda: {"n": n, "d1": d1, "excess": excess})
+        checks.append(check)
 
     return PropertySuiteReport(space_kind=space.kind, seed=seed, checks=checks)

@@ -35,10 +35,6 @@ import numpy as np
 # membership). Double-precision eigendecomposition error dominates.
 REL_POINT_TOL = 1e-9
 
-# Absolute slack for geodesic identities (constant speed, endpoint match),
-# scaled by (1 + d(x, y)) by the checks that use it.
-GEODESIC_TOL = 1e-8
-
 # Below this, eigenvalues are clamped to 1e-12 * (largest eigenvalue) before
 # fractional powers or logs of symmetric matrices.
 _EIG_FLOOR_REL = 1e-12
@@ -112,7 +108,7 @@ class Space:
         return np.asarray(p, dtype=float).tolist()
 
     def payload_from_json(self, payload):
-        return np.asarray(self.check_point(payload), dtype=float)
+        return np.asarray(self.check_point(_numbers(payload, self.kind)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +336,28 @@ def _sym2_from_eig(m1: float, m2: float, co: float, si: float):
     return r11, r12, r22
 
 
-def _spd2_geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
-    # closed-form 2x2 path: avoids LAPACK call overhead in hot loops
+def _spd2_congruence(A: np.ndarray, B: np.ndarray):
+    """A's clamped eigenvalue square roots and eigenvector, (s1, s2, co, si)
+    in the _eig2 convention, and M = A^{-1/2} B A^{-1/2} as (m11, m12, m22).
+    The closed-form 2x2 path avoids LAPACK call overhead in hot loops."""
     a = float(A[0, 0]); b = 0.5 * (float(A[0, 1]) + float(A[1, 0])); c = float(A[1, 1])
     l1, l2, co, si = _eig2(a, b, c)
     floor = _EIG_FLOOR_REL * max(l2, 1e-300)
-    l1 = max(l1, floor); l2 = max(l2, floor)
-    s1, s2 = math.sqrt(l1), math.sqrt(l2)
-    q11, q12, q22 = _sym2_from_eig(s1, s2, co, si)        # A^{1/2}
+    s1 = math.sqrt(max(l1, floor)); s2 = math.sqrt(max(l2, floor))
     p11, p12, p22 = _sym2_from_eig(1.0 / s1, 1.0 / s2, co, si)  # A^{-1/2}
 
     b11 = float(B[0, 0]); b12 = 0.5 * (float(B[0, 1]) + float(B[1, 0])); b22 = float(B[1, 1])
-    # M = A^{-1/2} B A^{-1/2}
     t11 = p11 * b11 + p12 * b12; t12 = p11 * b12 + p12 * b22
     t21 = p12 * b11 + p22 * b12; t22 = p12 * b12 + p22 * b22
     m11 = t11 * p11 + t12 * p12
     m22 = t21 * p12 + t22 * p22
     m12 = 0.5 * ((t11 * p12 + t12 * p22) + (t21 * p11 + t22 * p12))
+    return (s1, s2, co, si), (m11, m12, m22)
 
+
+def _spd2_geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
+    (s1, s2, co, si), (m11, m12, m22) = _spd2_congruence(A, B)
+    q11, q12, q22 = _sym2_from_eig(s1, s2, co, si)        # A^{1/2}
     u1, u2, co2, si2 = _eig2(m11, m12, m22)
     floor = _EIG_FLOOR_REL * max(u2, 1e-300)
     w1 = max(u1, floor) ** t
@@ -377,19 +377,7 @@ def _spd2_dist(A: np.ndarray, B: np.ndarray) -> float:
     # eigenvalues of M = A^{-1/2} B A^{-1/2} computed through M itself: the
     # generalized-eigenvalue quadratic in det/trace form loses half the
     # significand to discriminant cancellation when A and B are close
-    a = float(A[0, 0]); b = 0.5 * (float(A[0, 1]) + float(A[1, 0])); c = float(A[1, 1])
-    l1, l2, co, si = _eig2(a, b, c)
-    floor = _EIG_FLOOR_REL * max(l2, 1e-300)
-    s1 = math.sqrt(max(l1, floor)); s2 = math.sqrt(max(l2, floor))
-    p11, p12, p22 = _sym2_from_eig(1.0 / s1, 1.0 / s2, co, si)  # A^{-1/2}
-
-    b11 = float(B[0, 0]); b12 = 0.5 * (float(B[0, 1]) + float(B[1, 0])); b22 = float(B[1, 1])
-    t11 = p11 * b11 + p12 * b12; t12 = p11 * b12 + p12 * b22
-    t21 = p12 * b11 + p22 * b12; t22 = p12 * b12 + p22 * b22
-    m11 = t11 * p11 + t12 * p12
-    m22 = t21 * p12 + t22 * p22
-    m12 = 0.5 * ((t11 * p12 + t12 * p22) + (t21 * p11 + t22 * p12))
-
+    _, (m11, m12, m22) = _spd2_congruence(A, B)
     u1, u2, _, _ = _eig2(m11, m12, m22)
     floor = _EIG_FLOOR_REL * max(u2, 1e-300)
     return math.hypot(math.log(max(u1, floor)), math.log(max(u2, floor)))
@@ -412,9 +400,11 @@ def spd_power(M: np.ndarray, s: float) -> np.ndarray:
     return sym_part((U * w**s) @ U.T)
 
 
-def spd_log(M: np.ndarray) -> np.ndarray:
-    w, U = _eigh_clamped(M)
-    return sym_part((U * np.log(w)) @ U.T)
+def _spd_congruence(A: np.ndarray, B: np.ndarray):
+    """A's clamped eigenpairs (w, U) and M = A^{-1/2} B A^{-1/2}."""
+    w, U = _eigh_clamped(A)
+    isq = (U * w**-0.5) @ U.T
+    return w, U, isq @ B @ isq
 
 
 def spd_exp(S: np.ndarray) -> np.ndarray:
@@ -446,20 +436,16 @@ class SpdAffine(Space):
     def dist(self, x, y) -> float:
         if self.p == 2:
             return _spd2_dist(x, y)
-        wa, Ua = _eigh_clamped(x)
-        isq = (Ua * wa**-0.5) @ Ua.T
-        w, _ = _eigh_clamped(isq @ y @ isq)
+        w, _ = _eigh_clamped(_spd_congruence(x, y)[2])
         return math.sqrt(float(np.sum(np.log(w) ** 2)))
 
     def geodesic_point(self, x, y, t):
         t = _check_t(t)
         if self.p == 2:
             return _spd2_geodesic(x, y, t)
-        wa, Ua = _eigh_clamped(x)
-        isq = (Ua * wa**-0.5) @ Ua.T
+        wa, Ua, m = _spd_congruence(x, y)
         sq = (Ua * wa**0.5) @ Ua.T
-        mid = spd_power(isq @ y @ isq, t)
-        return sym_part(sq @ mid @ sq)
+        return sym_part(sq @ spd_power(m, t) @ sq)
 
     def _constraint_violation(self, q):
         scale = max(1.0, float(np.abs(q).max()))
@@ -616,7 +602,7 @@ class MetricTree(Space):
         ln = self._elen[eid]
         offset = float(offset)
         slack = REL_POINT_TOL * (1.0 + ln)
-        if offset < -slack or offset > ln + slack:
+        if not -slack <= offset <= ln + slack:
             raise SpaceError(f"offset {offset} outside [0, {ln}] on edge {eid}")
         snap = 1e-12 * (1.0 + ln)
         if offset <= snap:
@@ -707,18 +693,35 @@ class MetricTree(Space):
         off = rem if ay == self._elow[y.edge] else self._elen[y.edge] - rem
         return self.edge_point(y.edge, off)
 
+    def frechet_mean(self, points: Sequence, weights: Sequence[float]) -> TreePoint:
+        """Exact minimizer of sum_i w_i d(x_i, .)^2 (Bacak 2014; Sturm 2003).
+
+        On edge e = (a, b) of length L, atom i unfolds to the position
+        p_i = (d(x_i,a)^2 - d(x_i,b)^2 + L^2) / (2L), so that d(x_i, e(u)) =
+        |p_i - u| for u in [0, L]: the functional is a convex quadratic along
+        the edge, minimized at the weighted mean of the p_i clamped to
+        [0, L].  The barycenter is the best of these E edge minima.  The
+        weights are nonnegative, not all zero, and need not sum to 1.
+        """
+        if not self.edges:
+            return TreePoint(vertex=self.vertices[0])
+        w = np.asarray(weights, dtype=float)
+        table = self._dist_table
+        # (n, V) atom-to-vertex distances, each through the atom's nearer exit
+        dv = np.array([np.min([lead + table[a] for a, lead in self._anchors(p)], axis=0)
+                       for p in map(self._canonical, points)])
+        length = np.asarray(self._elen)
+        lo, hi = list(self._elow), list(self._ehigh)
+        pos = (dv[:, lo] ** 2 - dv[:, hi] ** 2 + length**2) / (2.0 * length)
+        u = np.clip(w @ pos / w.sum(), 0.0, length)
+        best = int(np.argmin(w @ (pos - u) ** 2))
+        return self.edge_point(best, float(u[best]))
+
     def validate_point(self, p) -> str | None:
-        if not isinstance(p, TreePoint):
-            return f"expected a TreePoint, got {type(p).__name__}"
-        if p.vertex is not None:
-            if p.vertex not in self._idx:
-                return f"unknown vertex id {p.vertex!r}"
-            return None
-        if not 0 <= p.edge < len(self.edges):
-            return f"edge index {p.edge} out of range"
-        ln = self._elen[p.edge]
-        if not -REL_POINT_TOL * (1 + ln) <= p.offset <= ln + REL_POINT_TOL * (1 + ln):
-            return f"offset {p.offset} outside the edge-length interval [0, {ln}]"
+        try:
+            self._canonical(p)
+        except SpaceError as exc:
+            return str(exc)
         return None
 
     def all_vertex_points(self) -> list[TreePoint]:
@@ -827,6 +830,23 @@ def read_field(obj, name: str, kind, default=_REQUIRED):
     if obj[name] is None and default is None:
         return None
     return _of_kind(obj[name], kind, f"field {name!r}")
+
+
+def check_keys(obj: dict, known) -> None:
+    """A SpaceError naming the first key of the JSON object ``obj`` that is
+    not in ``known``, so that a misspelt optional field is not ignored."""
+    for key in obj:
+        if key not in known:
+            raise SpaceError(f"unknown field {key!r} (known: {', '.join(known)})")
+
+
+def _numbers(payload, kind: str):
+    """Nested lists with every leaf checked as a finite JSON number, for the
+    array spaces' payloads: np.asarray alone would read true as 1.0 and "1.5"
+    as 1.5."""
+    if isinstance(payload, list):
+        return [_numbers(item, kind) for item in payload]
+    return _of_kind(payload, float, f"{kind}: array entry")
 
 
 def read_items(obj, name: str, parse) -> list:

@@ -11,6 +11,7 @@ from npcbary import (
     ConvergenceError,
     Euclidean,
     Hyperbolic,
+    MetricTree,
     SpaceError,
     SpdAffine,
     Sphere,
@@ -96,11 +97,19 @@ def test_two_point_barycenter_is_midpoint(space, rng):
         assert space.dist(res.point, space.midpoint(x, y)) <= 10 * tol
 
 
+# three SPD(2) matrices that pairwise do not commute: their cyclic mean needs
+# many more than five cycles to settle to 1e-12
+NON_COMMUTING_SPD2 = (
+    ((2.0, 0.3), (0.3, 1.0)),
+    ((1.0, 0.0), (0.0, 3.0)),
+    ((1.5, -0.7), (-0.7, 1.2)),
+)
+
+
 def test_convergence_error_carries_state():
-    tree = star_tree()
-    leaves = [tree.vertex_point(v) for v in ("a", "b", "c")]
+    mats = [np.array(m) for m in NON_COMMUTING_SPD2]
     with pytest.raises(ConvergenceError) as info:
-        empirical_barycenter(tree, leaves, tol=1e-12, max_cycles=5)
+        empirical_barycenter(SpdAffine(2), mats, tol=1e-12, max_cycles=5)
     err = info.value
     assert err.point is not None
     assert err.displacement > 1e-12
@@ -214,8 +223,7 @@ def test_pairwise_variance_universal_bounds(space, rng):
         n = int(rng.integers(2, 9))
         pts = random_tuple(space, rng, n)
         pv = pairwise_variance_estimate(space, pts)
-        tol = 1e-3 if space.kind == "metric_tree" else 1e-6
-        res = empirical_barycenter(space, pts, tol=tol * (1 + sample_diameter(space, pts)))
+        res = empirical_barycenter(space, pts, tol=1e-6 * (1 + sample_diameter(space, pts)))
         var = frechet_variance(space, WeightedSample(pts), res.point)
         assert pv >= var * (1 - 1e-9) - 1e-12
         assert pv <= 4 * var * (1 + 1e-9) + 1e-12
@@ -268,8 +276,7 @@ def test_barycenter_maps_are_lipschitz(space, rng):
         d1 = product_l1_dist(space, xs, ys)
         ind = space.dist(inductive_barycenter(space, xs), inductive_barycenter(space, ys))
         assert ind <= d1 / n + 1e-8 * (1.0 + d1)
-        tol_rel = 1e-4 if space.kind == "metric_tree" else 1e-6
-        tol = tol_rel * (1.0 + sample_diameter(space, list(xs) + list(ys)))
+        tol = 1e-6 * (1.0 + sample_diameter(space, list(xs) + list(ys)))
         ex = space.dist(
             empirical_barycenter(space, xs, tol=tol).point,
             empirical_barycenter(space, ys, tol=tol).point,
@@ -284,3 +291,49 @@ def test_objective_matches_brute_force_on_trees(rng):
         res = empirical_barycenter(tree, pts, tol=1e-4)
         oracle = brute_force_barycenter(tree, pts, grid_step=0.005)
         assert res.objective <= oracle.objective + 5e-3
+
+
+def random_tree(shape, ids, rng):
+    """A star (centre plus 2-4 leaves) or a path of 2-5 vertices with edge
+    lengths in [0.5, 2] and shuffled ids, so that edges run both ways
+    relative to the lower-id endpoint."""
+    size = int(rng.integers(3, 6)) if shape == "star" else int(rng.integers(2, 6))
+    names = [int(i) for i in rng.permutation(size)]
+    if ids == "str":
+        names = [f"v{i}" for i in names]
+    if shape == "star":
+        pairs = [(names[0], leaf) for leaf in names[1:]]
+    else:
+        pairs = list(zip(names, names[1:]))
+    return MetricTree(tuple(names), tuple((u, v, float(rng.uniform(0.5, 2.0))) for u, v in pairs))
+
+
+@pytest.mark.parametrize("shape", ["star", "path"])
+@pytest.mark.parametrize("ids", ["str", "int"])
+@pytest.mark.parametrize("weights", ["uniform", "float"])
+def test_tree_frechet_mean_matches_grid_oracle(shape, ids, weights, rng):
+    step = 0.01
+    for _ in range(5):
+        tree = random_tree(shape, ids, rng)
+        if weights == "float":
+            pts = [random_point(tree, rng), tree.vertex_point(tree.vertices[-1])]
+            ws = (0.9, 1 - 0.9)
+        else:
+            pts = random_tuple(tree, rng, int(rng.integers(2, 7)))
+            pts.append(tree.vertex_point(tree.vertices[0]))
+            ws = (Fraction(1, len(pts)),) * len(pts)
+        sample = WeightedSample(pts, ws)
+        mean = tree.frechet_mean(pts, [float(w) for w in ws])
+        assert weighted_barycenter(tree, sample).point == mean
+        oracle = min(tree.grid_points(step), key=lambda c: frechet_variance(tree, sample, c))
+        assert frechet_variance(tree, sample, mean) <= frechet_variance(tree, sample, oracle) + 1e-12
+        assert tree.dist(mean, oracle) <= step
+
+
+def test_tree_frechet_mean_one_vertex():
+    tree = MetricTree(("x",), ())
+    pts = [tree.vertex_point("x")] * 3
+    assert tree.frechet_mean(pts, [1.0, 1.0, 1.0]) == tree.vertex_point("x")
+    oracle = brute_force_barycenter(tree, pts, grid_step=0.01)
+    res = empirical_barycenter(tree, pts)
+    assert res.point == oracle.point and res.iterations == 0

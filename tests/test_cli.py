@@ -96,12 +96,14 @@ def test_barycenter_non_numeric_space_field(tmp_path, capsys, space, field):
 
 
 def test_barycenter_convergence_failure(tmp_path):
-    tree = star_tree()
+    # three pairwise non-commuting SPD(2) matrices: five cycles cannot reach 1e-12
     inp = write(
-        tmp_path / "tree_points.json",
-        {"space": tree.descriptor(), "points": [{"vertex": v} for v in ("a", "b", "c")]},
+        tmp_path / "spd_points.json",
+        {"space": {"kind": "spd_affine", "p": 2},
+         "points": [[[2.0, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 3.0]],
+                    [[1.5, -0.7], [-0.7, 1.2]]]},
     )
-    assert main(["barycenter", "--input", inp, "--tol", "1e-13", "--max-cycles", "5"]) == 3
+    assert main(["barycenter", "--input", inp, "--tol", "1e-12", "--max-cycles", "5"]) == 3
 
 
 def test_gm_identical(tmp_path):
@@ -374,10 +376,16 @@ def mutated(name, path, value):
     ("config", ("n",), DELETE, "'n'"),
     ("query", ("sigma",), None, "sigma must"),
     ("noniid_query", ("sigmas",), 3, "sigmas must"),
+    # reproduced as a silent run on coerced or ignored input (exit 0)
+    ("euclidean", ("points", 0), [True, 0.0], "points[0]"),
+    ("euclidean", ("points", 1), ["1.5", 2.0], "points[1]"),
+    ("config", ("bound", "overrides", "scal"), 0.01, "'scal'"),
+    ("config", ("sede",), 5, "'sede'"),
 ], ids=["points-payload", "spd-ragged", "tree-edge-length", "tree-point-edge", "gm-ragged",
         "config-bound", "config-distributions", "dim-nonintegral", "override-K",
         "override-scale", "override-combine", "points-number", "matrices-number",
-        "config-no-n", "query-sigma", "query-sigmas"])
+        "config-no-n", "query-sigma", "query-sigmas", "points-bool", "points-string",
+        "override-misspelt", "config-misspelt"])
 def test_malformed_input_exit_code(tmp_path, capsys, name, path, value, needle):
     command, doc = mutated(name, path, value)
     assert run_input(doc, command, tmp_path) == 2

@@ -84,6 +84,12 @@ def test_population_barycenter_values():
     assert abs(population_barycenter(dist)[0] - 1.0) <= 1e-9
 
 
+def test_population_barycenter_star_is_centre():
+    tree = star_tree()
+    dist = DistributionSpec(tree, [tree.vertex_point(v) for v in ("a", "b", "c")])
+    assert population_barycenter(dist) == tree.vertex_point("o")
+
+
 def test_population_barycenter_float_weights():
     # JSON float weights are exact binary rationals with denominator 2^53
     obj = json.loads(json.dumps({"support": [[0.0], [1.0]], "weights": [0.9, 1 - 0.9]}))
