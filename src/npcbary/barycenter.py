@@ -2,12 +2,12 @@
 
 Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
-but needs only geodesics.  The empirical barycenter extends the same
-recursion over the periodic repetition of the input and stops once a full
-cycle of n steps moves the iterate by at most ``tol`` (cyclic convergence to
-the Frechet mean holds in any NPC space).  On a metric tree, where the
-Frechet functional is a convex quadratic along each edge, the empirical and
-weighted barycenters are computed exactly instead.
+but needs only geodesics.  The empirical barycenter merges repeated points
+into atoms weighted by their counts and runs the weighted cyclic recursion
+below over them, stopping once a full cycle moves the iterate by at most
+``tol`` (cyclic convergence to the Frechet mean holds in any NPC space).  On
+a metric tree, where the Frechet functional is a convex quadratic along each
+edge, the empirical and weighted barycenters are computed exactly instead.
 
 Weighted barycenters run the weighted form of the same cyclic recursion
 (Sturm 2003; Lim & Palfia 2014): one cycle is one pass over the
@@ -22,13 +22,14 @@ independent oracle for small instances.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
 import numpy as np
 
-from .spaces import Euclidean, MetricTree, Space, SpaceError
+from .spaces import Euclidean, MetricTree, Space, SpaceError, TreePoint
 
 DEFAULT_MAX_CYCLES = 100_000
 
@@ -171,31 +172,51 @@ def empirical_barycenter(
 ) -> BarycenterResult:
     """Frechet mean by cyclic continuation of the inductive recursion.
 
-    The input is extended periodically and the recursion continued; the
-    iteration stops at the first full cycle of n steps that moves the iterate
-    by at most ``tol``, measured d(s_{qn}, s_{(q-1)n}).  Raises
-    :class:`ConvergenceError` if ``max_cycles`` cycles do not reach ``tol``.
-    Metric trees are solved in closed form by
-    :meth:`~npcbary.spaces.MetricTree.frechet_mean`, with no iteration.
+    Exactly equal points are first merged into atoms weighted by their
+    counts, in first-seen order (arrays compare by their float bytes, tree
+    points by equality); the Frechet functional, and so its minimizer, is
+    unchanged.  The weighted recursion then runs over the distinct atoms and
+    stops at the first cycle, one pass over the atoms, that moves the
+    iterate by at most ``tol``; ``iterations`` counts its geodesic steps and
+    ``max_cycles`` its cycles.  Raises :class:`ConvergenceError` if
+    ``max_cycles`` cycles do not reach ``tol``.  Metric trees are solved in
+    closed form by :meth:`~npcbary.spaces.MetricTree.frechet_mean`, with no
+    iteration.
     """
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
-    if tol is None:
-        tol = default_tolerance(space, points)
-    s, steps, disp = _cyclic_barycenter(space, points, [1] * n, tol, max_cycles)
-    return BarycenterResult(s, steps, disp, frechet_objective(space, points, s))
+    # Draws from a finite support repeat the same objects, so they are counted
+    # by identity first, at C speed, and only the distinct objects by value.
+    objects = dict(zip(map(id, points), points))
+    atoms: dict = {}
+    for i, m in Counter(map(id, points)).items():
+        x = objects[i]
+        key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
+        atoms.setdefault(key, [x, 0])[1] += m
+    xs, counts = zip(*atoms.values())
+    s, steps, disp = _cyclic_barycenter(space, xs, counts, tol, max_cycles)
+    objective = sum(m * space.dist(x, s) ** 2 for x, m in zip(xs, counts)) / n
+    return BarycenterResult(s, steps, disp, objective)
 
 
-def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int], tol: float,
-                       max_cycles: int):
+def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int],
+                       tol: float | None, max_cycles: int):
     """Weighted cyclic recursion: each cycle visits every atom once and steps
     toward atom i with t = m_i / W, W the running total of the integer counts
     including this visit.  Stops at the first cycle that moves the iterate by
     at most ``tol``; returns the iterate, the geodesic steps and the last
-    cycle displacement.  A metric tree returns its exact weighted mean with
-    no steps."""
-    if not tol > 0:
+    cycle displacement.  A single atom, and a metric tree, which returns its
+    exact weighted mean, take no steps.
+
+    ``tol=None`` is resolved only where the loop runs, to
+    :func:`default_tolerance` over the atoms received.  Repeats do not change
+    a diameter, so for an empirical sample this is the value over all its
+    points whenever there are at most 600 of them; beyond that it is the
+    exact diameter of the atoms (or, past 600 atoms, the same
+    2 * max d(x_0, .) bound), never larger than the bound over the points.
+    """
+    if tol is not None and not tol > 0:
         raise SpaceError("tol must be > 0")
     n = len(points)
     if n == 1:
@@ -203,6 +224,8 @@ def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int], to
     if isinstance(space, MetricTree):
         total = sum(counts)
         return space.frechet_mean(points, [m / total for m in counts]), 0, 0.0
+    if tol is None:
+        tol = default_tolerance(space, points)
 
     geodesic = space.geodesic_point
     s = points[0]
@@ -243,8 +266,6 @@ def weighted_barycenter(
     For two points with weights (1-t, t) the result matches
     ``geodesic_point(x, y, t)`` within the solver tolerance.
     """
-    if tol is None:
-        tol = default_tolerance(space, sample.points)
     weights = sample.resolved_weights()
     q = math.lcm(*(w.denominator for w in weights))
     points, counts = zip(*(

@@ -631,17 +631,22 @@ class MetricTree(Space):
 
     # metric ---------------------------------------------------------------
 
-    def dist(self, x, y) -> float:
-        x = self._canonical(x)
-        y = self._canonical(y)
-        if x.edge is not None and y.edge is not None and x.edge == y.edge:
-            return abs(x.offset - y.offset)
+    def _route(self, x: TreePoint, y: TreePoint):
+        """d(x, y) for canonical points, with the anchors of x and of y that a
+        shortest path runs through (both None when x and y share an edge)."""
+        if x.edge is not None and x.edge == y.edge:
+            return abs(x.offset - y.offset), None, None
         table = self._dist_table
-        return min(
-            lx + table[ax, ay] + ly
-            for (ax, lx) in self._anchors(x)
-            for (ay, ly) in self._anchors(y)
-        )
+        best = None
+        for ax, lx in self._anchors(x):
+            for ay, ly in self._anchors(y):
+                d = lx + table[ax, ay] + ly
+                if best is None or d < best[0]:
+                    best = (d, (ax, lx), (ay, ly))
+        return best
+
+    def dist(self, x, y) -> float:
+        return self._route(self._canonical(x), self._canonical(y))[0]
 
     def _vertex_path(self, a: int, b: int) -> list[int]:
         path = [b]
@@ -655,21 +660,17 @@ class MetricTree(Space):
         t = _check_t(t)
         x = self._canonical(x)
         y = self._canonical(y)
-        d = self.dist(x, y)
+        d, exit_x, entry_y = self._route(x, y)
         target = t * d
         if d == 0.0 or target <= 0.0:
             return x
         if target >= d:
             return y
-        if x.edge is not None and y.edge is not None and x.edge == y.edge:
+        if exit_x is None:
             off = x.offset + math.copysign(target, y.offset - x.offset)
             return self.edge_point(x.edge, off)
 
-        table = self._dist_table
-        (ax, lx), (ay, ly) = min(
-            ((pa, pb) for pa in self._anchors(x) for pb in self._anchors(y)),
-            key=lambda pq: pq[0][1] + table[pq[0][0], pq[1][0]] + pq[1][1],
-        )
+        (ax, lx), (ay, ly) = exit_x, entry_y
         rem = target
         # leg 1: along x's own edge toward the exit vertex
         if x.edge is not None:

@@ -24,8 +24,15 @@ from npcbary import (
     product_l1_dist,
     weighted_barycenter,
 )
-from npcbary.barycenter import as_fraction, sample_diameter
-from npcbary.experiments import perturbed_tuple, random_point, random_tuple
+from npcbary.barycenter import as_fraction, frechet_objective, sample_diameter
+from npcbary.experiments import (
+    draw_indices,
+    perturbed_tuple,
+    random_point,
+    random_tuple,
+    trial_rng,
+)
+from npcbary.presets import sphere_cap_distribution
 
 from conftest import all_spaces, npc_spaces, star_tree
 
@@ -114,6 +121,73 @@ def test_convergence_error_carries_state():
     assert err.point is not None
     assert err.displacement > 1e-12
     assert err.iterations > 0
+
+
+# ---------------------------------------------------------------------------
+# repeated points collapse into weighted atoms
+# ---------------------------------------------------------------------------
+
+
+SMOOTH_SPACES = [s for s in all_spaces() if not isinstance(s, MetricTree)]
+
+
+@pytest.mark.parametrize("space", SMOOTH_SPACES, ids=lambda s: s.kind)
+def test_repeats_solve_as_weighted_atoms(space, rng):
+    for _ in range(3):
+        atoms = random_tuple(space, rng, int(rng.integers(2, 6)))
+        counts = rng.integers(1, 6, size=len(atoms))
+        labels = rng.permutation(np.repeat(np.arange(len(atoms)), counts)).tolist()
+        # fresh copies, so that equal values and not shared objects collapse
+        pts = [np.array(atoms[i]) for i in labels]
+        tol = 1e-6 * (1.0 + sample_diameter(space, atoms))
+        res = empirical_barycenter(space, pts, tol=tol)
+
+        order = list(dict.fromkeys(labels))  # the atoms in first-seen order
+        sample = WeightedSample([atoms[i] for i in order],
+                                [Fraction(int(counts[i]), len(pts)) for i in order])
+        ref = weighted_barycenter(space, sample, tol=tol)
+        assert space.dist(res.point, ref.point) <= 2 * tol
+        per_point = frechet_objective(space, pts, res.point)
+        assert abs(res.objective - per_point) <= 1e-12 * per_point
+
+
+def test_equal_arrays_collapse():
+    space = Euclidean(2)
+    a, b = [0.0, 1.0], [2.0, -1.0]
+    pts = [np.array(a), np.array(b), np.array(a), np.array(a), np.array(b)]
+    res = empirical_barycenter(space, pts, tol=1e-12)
+    assert res.iterations == 3  # cycle 1 is one step, cycle 2 two: two atoms
+    assert np.max(np.abs(res.point - np.array([0.8, 0.2]))) <= 1e-12
+
+
+def test_criterion_13_instance_takes_three_steps():
+    dist = sphere_cap_distribution()
+    idx = draw_indices(dist.cumulative_weights(), trial_rng(0, 0), 10_000)
+    pts = [dist.support[i] for i in idx]
+    res = empirical_barycenter(dist.space, pts, tol=1e-4 * (1.0 + dist.diameter()))
+    assert res.iterations <= 3
+
+
+def test_inductive_still_depends_on_order(rng):
+    space = Hyperbolic(-1.0)
+    pts = random_tuple(space, rng, 3)
+    forward = inductive_barycenter(space, pts)
+    permuted = inductive_barycenter(space, [pts[2], pts[0], pts[1]])
+    assert space.dist(forward, permuted) > 1e-6
+
+
+def test_default_tolerance_only_where_the_solver_iterates(monkeypatch, rng):
+    def no_diameter(*args, **kwargs):
+        raise AssertionError("sample_diameter called")
+
+    monkeypatch.setattr("npcbary.barycenter.sample_diameter", no_diameter)
+    tree = star_tree()
+    pts = random_tuple(tree, rng, 50)
+    empirical_barycenter(tree, pts)
+    weighted_barycenter(tree, WeightedSample(pts))
+    space = Hyperbolic(-1.0)
+    x = random_point(space, rng)
+    assert empirical_barycenter(space, [x] * 50).point is x
 
 
 def test_empty_input_rejected():
