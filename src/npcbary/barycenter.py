@@ -3,24 +3,27 @@
 Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
 but needs only geodesics.  The empirical barycenter merges repeated points
-into atoms weighted by their counts and runs the weighted cyclic recursion
-below over them, stopping once a full cycle moves the iterate by at most
-``tol`` (cyclic convergence to the Frechet mean holds in any NPC space).  On
-a metric tree, where the Frechet functional is a convex quadratic along each
-edge, the empirical and weighted barycenters are computed exactly instead.
+into atoms weighted by their counts and solves for the Frechet mean of those
+atoms; weighted barycenters solve the same problem for given weights.  On a
+metric tree, where the Frechet functional is a convex quadratic along each
+edge, the mean is computed exactly.
 
-Weighted barycenters run the weighted form of the same cyclic recursion
-(Sturm 2003; Lim & Palfia 2014): one cycle is one pass over the
-positive-weight atoms, and the visit of atom i steps toward it with
-t = w_i / W, W the weight accumulated so far, counting this visit.  Weights
-are exact rationals; a float weight is taken as its exact binary rational.
-With uniform weights this is the unweighted recursion, t = 1/k.  A brute-force
-grid/candidate minimizer of the Frechet objective is included as an
-independent oracle for small instances.
+On the smooth spaces the solver starts from one pass of the weighted
+recursion (Sturm 2003; Lim & Palfia 2014): the visit of atom i steps toward
+it with t = w_i / W, W the weight accumulated so far, counting this visit, so
+two atoms are solved exactly.  It then runs the Karcher fixed point
+s <- exp_s(alpha * g), g = sum_i w_i log_s x_i, with the curvature-aware step
+alpha of Bini & Iannazzo (2013) and Afsari, Tron & Vidal (2013), and stops
+once the variance inequality certifies d(s, b*) <= (2/k) ||g||_s <= tol, with
+k = 2 in CAT(0) and k = k_epsilon on a sphere cap.  Weights are exact
+rationals; a float weight is taken as its exact binary rational.  A
+brute-force grid/candidate minimizer of the Frechet objective is included as
+an independent oracle for small instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -29,15 +32,28 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .spaces import Euclidean, MetricTree, Space, SpaceError, TreePoint
+from .bounds import k_epsilon
+from .spaces import (
+    Euclidean,
+    Hyperbolic,
+    MetricTree,
+    Space,
+    SpaceError,
+    SpdAffine,
+    Sphere,
+    TreePoint,
+    _over,
+)
 
 DEFAULT_MAX_CYCLES = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """Cyclic iteration exhausted max_cycles without meeting the tolerance.
+    """The fixed-point iteration exhausted max_cycles iterations before its
+    error bound reached the tolerance.
 
-    Carries the last iterate and its final per-cycle displacement.
+    Carries the last iterate, the length of its last step and the number of
+    iterations.
     """
 
     def __init__(self, message, point=None, displacement=None, iterations=None):
@@ -50,9 +66,10 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class BarycenterResult:
     point: Any
-    iterations: int          # geodesic updates performed
-    final_displacement: float
-    objective: float         # (1/n) sum_i d(x_i, point)^2
+    iterations: int          # fixed-point iterations after the warm start
+    final_displacement: float  # length of the last step, 0.0 if none was taken
+    objective: float         # sum_i w_i d(x_i, point)^2, w_i = 1/n for a point set
+    error_bound: float | None  # certified bound on d(point, barycenter), or None
 
     def to_json(self, space: Space) -> dict:
         return {
@@ -60,6 +77,7 @@ class BarycenterResult:
             "iterations": self.iterations,
             "final_displacement": self.final_displacement,
             "objective": self.objective,
+            "error_bound": self.error_bound,
         }
 
 
@@ -170,18 +188,18 @@ def empirical_barycenter(
     tol: float | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> BarycenterResult:
-    """Frechet mean by cyclic continuation of the inductive recursion.
+    """Frechet mean of a point set, with a certified error bound.
 
     Exactly equal points are first merged into atoms weighted by their
     counts, in first-seen order (arrays compare by their float bytes, tree
     points by equality); the Frechet functional, and so its minimizer, is
-    unchanged.  The weighted recursion then runs over the distinct atoms and
-    stops at the first cycle, one pass over the atoms, that moves the
-    iterate by at most ``tol``; ``iterations`` counts its geodesic steps and
-    ``max_cycles`` its cycles.  Raises :class:`ConvergenceError` if
-    ``max_cycles`` cycles do not reach ``tol``.  Metric trees are solved in
-    closed form by :meth:`~npcbary.spaces.MetricTree.frechet_mean`, with no
-    iteration.
+    unchanged.  The atoms are then solved by :func:`_frechet_mean`: the
+    result lies within ``error_bound`` <= ``tol`` of the Frechet mean,
+    ``iterations`` counts the fixed-point iterations after the warm start
+    and ``max_cycles`` bounds them.  Raises :class:`ConvergenceError` if
+    ``max_cycles`` iterations do not certify ``tol``.  Metric trees are
+    solved in closed form by :meth:`~npcbary.spaces.MetricTree.frechet_mean`,
+    with no iteration.
     """
     n = len(points)
     if n < 1:
@@ -195,19 +213,34 @@ def empirical_barycenter(
         key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
         atoms.setdefault(key, [x, 0])[1] += m
     xs, counts = zip(*atoms.values())
-    s, steps, disp = _cyclic_barycenter(space, xs, counts, tol, max_cycles)
-    objective = sum(m * space.dist(x, s) ** 2 for x, m in zip(xs, counts)) / n
-    return BarycenterResult(s, steps, disp, objective)
+    s, iterations, step, bound, objective = _frechet_mean(space, xs, counts, tol, max_cycles)
+    return BarycenterResult(s, iterations, step, objective, bound)
 
 
-def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int],
-                       tol: float | None, max_cycles: int):
-    """Weighted cyclic recursion: each cycle visits every atom once and steps
-    toward atom i with t = m_i / W, W the running total of the integer counts
-    including this visit.  Stops at the first cycle that moves the iterate by
-    at most ``tol``; returns the iterate, the geodesic steps and the last
-    cycle displacement.  A single atom, and a metric tree, which returns its
-    exact weighted mean, take no steps.
+def support_ball(space: Space, points: Sequence) -> tuple[Any, float]:
+    """The best support-centred ball: the point c of ``points`` that
+    minimizes max_i d(c, x_i), the first on ties, and that radius."""
+    return min(((c, max((space.dist(c, x) for x in points if x is not c), default=0.0))
+                for c in points), key=lambda ball: ball[1])
+
+
+def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
+                  tol: float | None, max_cycles: int):
+    """Frechet mean of atoms with positive integer counts m_i, weights
+    w_i = m_i / sum m.  Returns the point, the iterations, the length of the
+    last step, the error bound and the objective sum_i w_i d(x_i, point)^2,
+    whose distances the last log map already holds.  A single atom, and a
+    metric tree, which returns its exact weighted mean, take no iterations
+    and bound 0.0.
+
+    The warm start is one pass of the weighted recursion, stepping toward
+    atom i with t = m_i / W, W the running total of the counts including
+    this visit; for two atoms it is the mean.  Each iteration then forms
+    g = sum_i w_i log_s x_i, returns once :func:`_error_bound` certifies
+    d(s, b*) <= tol, and otherwise steps s <- exp_s(alpha g), alpha from
+    :func:`_step_size`.  On a sphere the certificate's ball is the smaller
+    of the one centred at s, radius max_i d(s, x_i), and the
+    :func:`support_ball` widened to reach s.
 
     ``tol=None`` is resolved only where the loop runs, to
     :func:`default_tolerance` over the atoms received.  Repeats do not change
@@ -218,39 +251,79 @@ def _cyclic_barycenter(space: Space, points: Sequence, counts: Sequence[int],
     """
     if tol is not None and not tol > 0:
         raise SpaceError("tol must be > 0")
-    n = len(points)
-    if n == 1:
-        return points[0], 0, 0.0
+    if len(points) == 1:
+        return points[0], 0, 0.0, 0.0, 0.0
     if isinstance(space, MetricTree):
         total = sum(counts)
-        return space.frechet_mean(points, [m / total for m in counts]), 0, 0.0
+        weights = [m / total for m in counts]
+        s = space.frechet_mean(points, weights)
+        return s, 0, 0.0, 0.0, sum(w * space.dist(x, s) ** 2 for x, w in zip(points, weights))
     if tol is None:
         tol = default_tolerance(space, points)
 
     geodesic = space.geodesic_point
     s = points[0]
     total = counts[0]
-    # cycle 1 consumes x_2 .. x_n
     for x, m in zip(points[1:], counts[1:]):
         total += m
         s = geodesic(s, x, m / total)
-    prev_end = s
-    disp = math.inf
-    for cycle in range(2, max_cycles + 1):
-        for x, m in zip(points, counts):
-            total += m
-            s = geodesic(s, x, m / total)
-        disp = space.dist(s, prev_end)
-        if disp <= tol:
-            return s, cycle * n - 1, disp
-        prev_end = s
+    weights = np.array([m / total for m in counts])
+    xs = np.array(points)
+    ball = support_ball(space, points) if isinstance(space, Sphere) else None
+    step = 0.0
+    for iteration in itertools.count():
+        vs, r = space.log(s, xs)
+        g = (weights @ vs.reshape(len(vs), -1)).reshape(vs.shape[1:])
+        g_norm = space.tangent_norm(s, g)
+        radius = float(r.max())
+        if ball is not None:  # the support-centred ball, widened to reach s
+            radius = min(radius, max(ball[1], space.dist(ball[0], s)))
+        bound = _error_bound(space, g_norm, radius)
+        if bound <= tol:
+            return s, iteration, step, bound, float(weights @ r**2)
+        if iteration >= max_cycles:
+            break
+        alpha = _step_size(space, weights, r)
+        s = space.exp(s, alpha * g)
+        step = alpha * g_norm
     raise ConvergenceError(
-        f"cyclic barycenter did not converge to {tol} within {max_cycles} cycles "
-        f"(last cycle displacement {disp})",
+        f"barycenter not certified to {tol} within {max_cycles} iterations "
+        f"(error bound {bound}, last step {step})",
         point=s,
-        displacement=disp,
-        iterations=max_cycles * n - 1,
+        displacement=step,
+        iterations=max_cycles,
     )
+
+
+def _error_bound(space: Space, g_norm: float, radius: float) -> float:
+    """(2/k) ||g||_s, which bounds d(s, b*) by the variance inequality
+    F(s) >= F(b*) + (k/2) d(s, b*)^2: k = 2 in CAT(0).  On a sphere,
+    k = k_epsilon(kappa, pi/(2 sqrt(kappa)) - R) for a ball of radius R that
+    holds the atoms and s, and the bound is infinite when
+    R >= pi/(2 sqrt(kappa)).
+    """
+    if not isinstance(space, Sphere) or g_norm == 0.0:
+        return g_norm
+    limit = math.pi / (2.0 * math.sqrt(space.kappa))
+    if radius >= limit:
+        return math.inf
+    if limit - radius >= limit:  # a ball too small to resolve: k = 2
+        return g_norm
+    return 2.0 * g_norm / k_epsilon(space.kappa, limit - radius)
+
+
+def _step_size(space: Space, weights: np.ndarray, r: np.ndarray) -> float:
+    """alpha = 1 / sum_i w_i h(r_i sqrt(-kappa_min)), h(a) = a coth a, where
+    kappa_min is the lowest sectional curvature: kappa on the hyperboloid and
+    -1/2 on SPD under the affine-invariant metric.  alpha = 1 on Euclidean
+    space, where one step reaches the mean, and on the sphere."""
+    if isinstance(space, Hyperbolic):
+        c = math.sqrt(-space.kappa)
+    elif isinstance(space, SpdAffine):
+        c = math.sqrt(0.5)
+    else:
+        return 1.0
+    return 1.0 / float(weights @ _over(r * c, np.tanh))
 
 
 def weighted_barycenter(
@@ -259,20 +332,21 @@ def weighted_barycenter(
     tol: float | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> BarycenterResult:
-    """Barycenter of a rationally weighted sample by the weighted cyclic
-    recursion, with integer counts m_i = w_i * Q over the weights' least
-    common denominator Q; zero-weight atoms are skipped.
+    """Barycenter of a rationally weighted sample by :func:`_frechet_mean`,
+    with integer counts m_i = w_i * Q over the weights' least common
+    denominator Q; zero-weight atoms are skipped.  The result lies within
+    ``error_bound`` <= ``tol`` of the weighted Frechet mean.
 
-    For two points with weights (1-t, t) the result matches
-    ``geodesic_point(x, y, t)`` within the solver tolerance.
+    For two points with weights (1-t, t) the result is
+    ``geodesic_point(x, y, t)``, certified at the warm start.
     """
     weights = sample.resolved_weights()
     q = math.lcm(*(w.denominator for w in weights))
     points, counts = zip(*(
         (x, w.numerator * (q // w.denominator)) for x, w in zip(sample.points, weights) if w > 0
     ))
-    s, steps, disp = _cyclic_barycenter(space, points, counts, tol, max_cycles)
-    return BarycenterResult(s, steps, disp, frechet_variance(space, sample, s))
+    s, iterations, step, bound, objective = _frechet_mean(space, points, counts, tol, max_cycles)
+    return BarycenterResult(s, iterations, step, objective, bound)
 
 
 def frechet_variance(space: Space, sample: WeightedSample, b) -> float:

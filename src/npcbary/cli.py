@@ -3,7 +3,7 @@
 Subcommands::
 
     barycenter   compute an empirical or inductive barycenter of a points file
-    gm           matrix geometric means (inductive endpoint + cyclic mean)
+    gm           matrix geometric means (inductive endpoint + Karcher mean)
     bounds       evaluate a named concentration formula from a JSON query
     experiment   run a Monte Carlo experiment config, write JSON + CSV reports
     check        run the NPC property suite for one space
@@ -25,6 +25,7 @@ import sys
 
 from . import presets
 from .barycenter import (
+    DEFAULT_MAX_CYCLES,
     BarycenterResult,
     ConvergenceError,
     empirical_barycenter,
@@ -85,7 +86,7 @@ def cmd_barycenter(args) -> int:
     if args.estimator == "inductive":
         point = inductive_barycenter(space, points)
         result = BarycenterResult(point, len(points) - 1, 0.0,
-                                  frechet_objective(space, points, point))
+                                  frechet_objective(space, points, point), None)
     else:
         result = empirical_barycenter(
             space, points, tol=args.tol, max_cycles=args.max_cycles
@@ -105,16 +106,17 @@ def cmd_gm(args) -> int:
     if not mats:
         raise SpaceError("field 'matrices' needs at least one matrix")
     inductive = inductive_barycenter(space, mats)
-    cyclic = empirical_barycenter(space, mats, tol=args.tol, max_cycles=args.max_cycles)
+    mean = empirical_barycenter(space, mats, tol=args.tol, max_cycles=args.max_cycles)
     _dump_json(
         {
             "p": space.p,
             "count": len(mats),
             "inductive": space.payload_to_json(inductive),
-            "empirical": space.payload_to_json(cyclic.point),
-            "iterations": cyclic.iterations,
-            "final_displacement": cyclic.final_displacement,
-            "objective": cyclic.objective,
+            "empirical": space.payload_to_json(mean.point),
+            "iterations": mean.iterations,
+            "final_displacement": mean.final_displacement,
+            "objective": mean.objective,
+            "error_bound": mean.error_bound,
         },
         args.output,
     )
@@ -186,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSON file with 'space' and 'points'")
     p.add_argument("--estimator", choices=("empirical", "inductive"), default="empirical")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-cycles", type=int, default=100_000)
+    p.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_barycenter)
 
     p = sub.add_parser("gm", help="matrix geometric means of SPD matrices")
     p.add_argument("--input", required=True, help="JSON file with a 'matrices' list")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-cycles", type=int, default=100_000)
+    p.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_gm)
 

@@ -55,6 +55,12 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _over(theta: np.ndarray, fn) -> np.ndarray:
+    """theta / fn(theta) elementwise, with its limit 1 at theta = 0, for the
+    log-map scale factors theta / sin(theta) and theta / sinh(theta)."""
+    return np.divide(theta, fn(theta), out=np.ones_like(theta), where=theta > 0)
+
+
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
@@ -71,6 +77,21 @@ class Space:
 
     def geodesic_point(self, x, y, t: float):
         """Point gamma_{x,y}(t) on the constant-speed geodesic from x to y."""
+        raise NotImplementedError
+
+    # Riemannian maps of the smooth spaces (metric trees have none) ----------
+
+    def log(self, x, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Tangent vectors log_x(y) at x for a stack ``ys`` of points (leading
+        axis of atoms), with their norms, which are the distances d(x, y)."""
+        raise NotImplementedError
+
+    def exp(self, x, v):
+        """Point reached at time 1 along the geodesic leaving x with velocity v."""
+        raise NotImplementedError
+
+    def tangent_norm(self, x, v) -> float:
+        """Riemannian norm of the tangent vector v at x."""
         raise NotImplementedError
 
     def validate_point(self, p) -> str | None:
@@ -137,6 +158,16 @@ class Euclidean(Space):
     def geodesic_point(self, x, y, t):
         t = _check_t(t)
         return (1.0 - t) * x + t * y
+
+    def log(self, x, ys):
+        vs = ys - x
+        return vs, np.sqrt(np.einsum("ij,ij->i", vs, vs))
+
+    def exp(self, x, v):
+        return x + v
+
+    def tangent_norm(self, x, v) -> float:
+        return math.sqrt(float(v @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +236,36 @@ class Hyperbolic(Space):
             out /= math.sqrt(q)
         return out
 
+    def log(self, x, ys):
+        # the rapidity theta = d * sqrt(-kappa) from the Minkowski chord q, as
+        # in dist; y - cosh(theta) x is formed as (y - x) + (kappa q / 2) x,
+        # since cosh(theta) - 1 = -kappa q / 2, free of cancellation for
+        # nearby pairs
+        d = ys - x
+        q = np.maximum(np.einsum("ij,ij->i", d, d) - 2.0 * d[:, -1] ** 2, 0.0)
+        theta = 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q))
+        u = d + (0.5 * self.kappa * q)[:, None] * x
+        return _over(theta, np.sinh)[:, None] * u, theta / math.sqrt(-self.kappa)
+
+    def exp(self, x, v):
+        theta = self.tangent_norm(x, v) * math.sqrt(-self.kappa)
+        if theta == 0.0:
+            return x.copy()
+        out = math.cosh(theta) * x + (math.sinh(theta) / theta) * v
+        q = self.kappa * _mink(out, out)
+        if q > 0:
+            out /= math.sqrt(q)
+        return out
+
+    def tangent_norm(self, x, v) -> float:
+        return math.sqrt(max(_mink(v, v), 0.0))
+
     def exp_from_base(self, direction: np.ndarray, radius: float) -> np.ndarray:
         """Point at metric distance ``radius`` from the base point, in the
         tangent direction given by a Euclidean unit vector of length dim."""
-        sk = math.sqrt(-self.kappa)
-        u = np.zeros(self.point_shape)
-        u[:-1] = direction
-        out = math.cosh(radius * sk) * self.base_point() + (math.sinh(radius * sk) / sk) * u
-        return out
+        v = np.zeros(self.point_shape)
+        v[:-1] = radius * np.asarray(direction, dtype=float)
+        return self.exp(self.base_point(), v)
 
     def _constraint_violation(self, q):
         if q[-1] <= 0:
@@ -292,13 +345,37 @@ class Sphere(Space):
             out *= self.radius / nrm
         return out
 
+    def log(self, x, ys):
+        # the angle theta = d * sqrt(kappa) is twice the angle between the
+        # chords y - x and y + x, accurate for nearby and near-antipodal pairs;
+        # y - cos(theta) x is formed as (y - x) + (kappa |y - x|^2 / 2) x,
+        # since 1 - cos(theta) = kappa |y - x|^2 / 2
+        d = ys - x
+        s = ys + x
+        chord2 = np.einsum("ij,ij->i", d, d)
+        theta = 2.0 * np.arctan2(np.sqrt(chord2), np.sqrt(np.einsum("ij,ij->i", s, s)))
+        if theta.max() >= math.pi * (1.0 - 1e-9):
+            raise AntipodalError("antipodal sphere points: the log map is not unique")
+        u = d + (0.5 * self.kappa * chord2)[:, None] * x
+        return _over(theta, np.sin)[:, None] * u, theta / math.sqrt(self.kappa)
+
+    def exp(self, x, v):
+        theta = self.tangent_norm(x, v) * math.sqrt(self.kappa)
+        if theta == 0.0:
+            return x.copy()
+        out = math.cos(theta) * x + (math.sin(theta) / theta) * v
+        out *= self.radius / math.sqrt(float(out @ out))
+        return out
+
+    def tangent_norm(self, x, v) -> float:
+        return math.sqrt(float(v @ v))
+
     def exp_from_base(self, direction: np.ndarray, radius: float) -> np.ndarray:
         """Walk ``radius`` along the great circle leaving the base point in the
         tangent direction (a Euclidean unit vector orthogonal to e_1)."""
-        sk = math.sqrt(self.kappa)
-        u = np.zeros(self.point_shape)
-        u[1:] = direction
-        return math.cos(radius * sk) * self.base_point() + (math.sin(radius * sk) / sk) * u
+        v = np.zeros(self.point_shape)
+        v[1:] = radius * np.asarray(direction, dtype=float)
+        return self.exp(self.base_point(), v)
 
     def _constraint_violation(self, q):
         nrm = math.sqrt(float(q @ q))
@@ -384,7 +461,8 @@ def _spd2_dist(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def sym_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _eigh_clamped(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,11 +478,10 @@ def spd_power(M: np.ndarray, s: float) -> np.ndarray:
     return sym_part((U * w**s) @ U.T)
 
 
-def _spd_congruence(A: np.ndarray, B: np.ndarray):
-    """A's clamped eigenpairs (w, U) and M = A^{-1/2} B A^{-1/2}."""
+def _spd_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A^{1/2} and A^{-1/2} from one clamped eigendecomposition."""
     w, U = _eigh_clamped(A)
-    isq = (U * w**-0.5) @ U.T
-    return w, U, isq @ B @ isq
+    return (U * w**0.5) @ U.T, (U * w**-0.5) @ U.T
 
 
 def spd_exp(S: np.ndarray) -> np.ndarray:
@@ -436,16 +513,35 @@ class SpdAffine(Space):
     def dist(self, x, y) -> float:
         if self.p == 2:
             return _spd2_dist(x, y)
-        w, _ = _eigh_clamped(_spd_congruence(x, y)[2])
+        w, U = _eigh_clamped(x)
+        isq = (U * w**-0.5) @ U.T
+        w, _ = _eigh_clamped(isq @ y @ isq)
         return math.sqrt(float(np.sum(np.log(w) ** 2)))
 
     def geodesic_point(self, x, y, t):
         t = _check_t(t)
         if self.p == 2:
             return _spd2_geodesic(x, y, t)
-        wa, Ua, m = _spd_congruence(x, y)
-        sq = (Ua * wa**0.5) @ Ua.T
-        return sym_part(sq @ spd_power(m, t) @ sq)
+        sq, isq = _spd_roots(x)
+        return sym_part(sq @ spd_power(isq @ y @ isq, t) @ sq)
+
+    def log(self, x, ys):
+        # log_x(y) = x^{1/2} log(x^{-1/2} y x^{-1/2}) x^{1/2}: one
+        # eigendecomposition of x and one stacked over the atoms
+        sq, isq = _spd_roots(x)
+        lam, V = np.linalg.eigh(sym_part(isq @ ys @ isq))
+        logs = np.log(np.maximum(lam, _EIG_FLOOR_REL * np.maximum(lam[:, -1:], 1e-300)))
+        vs = sym_part(sq @ (V * logs[:, None, :]) @ np.swapaxes(V, -1, -2) @ sq)
+        return vs, np.sqrt(np.sum(logs**2, axis=1))
+
+    def exp(self, x, v):
+        sq, isq = _spd_roots(x)
+        return sym_part(sq @ spd_exp(isq @ v @ isq) @ sq)
+
+    def tangent_norm(self, x, v) -> float:
+        # ||x^{-1/2} v x^{-1/2}||_F^2 = tr(a a) with a = x^{-1} v
+        a = np.linalg.solve(x, v)
+        return math.sqrt(max(float(np.sum(a * a.T)), 0.0))
 
     def _constraint_violation(self, q):
         scale = max(1.0, float(np.abs(q).max()))

@@ -1,7 +1,8 @@
-"""Inductive / cyclic barycenter estimators against closed forms and the
-brute-force oracle, plus variance estimators."""
+"""Inductive and certified empirical barycenter estimators against closed
+forms and the brute-force oracle, plus variance estimators."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from npcbary.experiments import (
     random_tuple,
     trial_rng,
 )
-from npcbary.presets import sphere_cap_distribution
+from npcbary.presets import coverage_distribution, sphere_cap_distribution
 
 from conftest import all_spaces, npc_spaces, star_tree
 
@@ -104,8 +105,8 @@ def test_two_point_barycenter_is_midpoint(space, rng):
         assert space.dist(res.point, space.midpoint(x, y)) <= 10 * tol
 
 
-# three SPD(2) matrices that pairwise do not commute: their cyclic mean needs
-# many more than five cycles to settle to 1e-12
+# three SPD(2) matrices that pairwise do not commute: their mean needs more
+# than five fixed-point iterations to be certified to 1e-12
 NON_COMMUTING_SPD2 = (
     ((2.0, 0.3), (0.3, 1.0)),
     ((1.0, 0.0), (0.0, 3.0)),
@@ -121,6 +122,70 @@ def test_convergence_error_carries_state():
     assert err.point is not None
     assert err.displacement > 1e-12
     assert err.iterations > 0
+
+
+# ---------------------------------------------------------------------------
+# the error bound certifies the distance to the Frechet mean
+# ---------------------------------------------------------------------------
+
+
+CERTIFIED_SPACES = [Euclidean(2), Hyperbolic(-1.0), SpdAffine(2), SpdAffine(3), Sphere(1.0)]
+
+
+@pytest.mark.parametrize("weights", ["uniform", "float"])
+@pytest.mark.parametrize("space", CERTIFIED_SPACES, ids=repr)
+def test_error_bound_bounds_the_error(space, weights, rng):
+    for _ in range(10):
+        if weights == "float":
+            sample = WeightedSample(random_tuple(space, rng, 2), (0.9, 1 - 0.9))
+        else:
+            sample = WeightedSample(random_tuple(space, rng, int(rng.integers(3, 8))))
+        tol = 1e-4 * (1.0 + sample_diameter(space, sample.points))
+        res = weighted_barycenter(space, sample, tol=tol)
+        ref = weighted_barycenter(space, sample, tol=1e-12)
+        assert res.error_bound <= tol
+        assert space.dist(res.point, ref.point) <= res.error_bound + 1e-12
+
+
+def test_error_bound_near_the_sphere_cap_limit():
+    # every atom within 0.995 * pi/2 of the first: the support-centred ball
+    # is just inside the limit, where k_epsilon is about 0.025
+    space = Sphere(1.0)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        atoms = [space.base_point()]
+        for _ in range(int(rng.integers(2, 7))):
+            v = rng.standard_normal(2)
+            atoms.append(space.exp_from_base(v / np.linalg.norm(v),
+                                             rng.uniform(0.0, 0.995) * math.pi / 2))
+        res = empirical_barycenter(space, atoms, tol=1e-6)
+        ref = empirical_barycenter(space, atoms, tol=1e-12)
+        assert res.iterations <= 16
+        assert space.dist(res.point, ref.point) <= res.error_bound + 1e-12
+
+
+def test_sphere_certificate_uses_the_support_centred_ball():
+    # the mean is pulled toward the heavy atom, more than a quarter turn from
+    # the light one, so only the support-centred ball is inside the limit
+    space = Sphere(1.0)
+    u = np.array([1.0, 0.0])
+    light, heavy = (space.exp_from_base(d, 0.97 * math.pi / 2) for d in (-u, u))
+    res = empirical_barycenter(space, [space.base_point(), light] + [heavy] * 3, tol=1e-8)
+    assert space.dist(res.point, light) > math.pi / 2
+    assert res.error_bound <= 1e-8
+
+
+def test_result_does_not_depend_on_atom_order():
+    dist = coverage_distribution("spd_affine")
+    sample = dist.as_weighted_sample()
+    tol = 1e-4 * (1.0 + dist.diameter())
+    weights = sample.resolved_weights()
+    first = weighted_barycenter(dist.space, sample, tol=tol)
+    for perm in itertools.permutations(range(len(weights))):
+        permuted = WeightedSample([sample.points[i] for i in perm], [weights[i] for i in perm])
+        res = weighted_barycenter(dist.space, permuted, tol=tol)
+        gap = dist.space.dist(res.point, first.point)
+        assert gap <= res.error_bound + first.error_bound
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +221,11 @@ def test_equal_arrays_collapse():
     a, b = [0.0, 1.0], [2.0, -1.0]
     pts = [np.array(a), np.array(b), np.array(a), np.array(a), np.array(b)]
     res = empirical_barycenter(space, pts, tol=1e-12)
-    assert res.iterations == 3  # cycle 1 is one step, cycle 2 two: two atoms
+    atoms = weighted_barycenter(
+        space, WeightedSample([np.array(a), np.array(b)], (Fraction(3, 5), Fraction(2, 5))),
+        tol=1e-12)
+    assert np.array_equal(res.point, atoms.point)
+    assert res.iterations == atoms.iterations
     assert np.max(np.abs(res.point - np.array([0.8, 0.2]))) <= 1e-12
 
 

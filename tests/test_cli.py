@@ -50,6 +50,7 @@ def test_barycenter_single_point(tmp_path):
     assert main(["barycenter", "--input", inp, "--output", str(out)]) == 0
     res = read(out)
     assert res["point"] == [3.5] and res["iterations"] == 0
+    assert res["error_bound"] == 0.0
 
 
 def test_barycenter_tree_star(tmp_path):
@@ -74,6 +75,7 @@ def test_barycenter_inductive_estimator(tmp_path):
     assert main(["barycenter", "--input", inp, "--estimator", "inductive",
                  "--output", str(out)]) == 0
     assert read(out)["point"] == pytest.approx([2.0], abs=1e-12)
+    assert read(out)["error_bound"] is None  # the inductive estimator certifies nothing
 
 
 def test_barycenter_parse_error(tmp_path):
@@ -96,7 +98,7 @@ def test_barycenter_non_numeric_space_field(tmp_path, capsys, space, field):
 
 
 def test_barycenter_convergence_failure(tmp_path):
-    # three pairwise non-commuting SPD(2) matrices: five cycles cannot reach 1e-12
+    # three pairwise non-commuting SPD(2) matrices: five iterations cannot certify 1e-12
     inp = write(
         tmp_path / "spd_points.json",
         {"space": {"kind": "spd_affine", "p": 2},
@@ -129,7 +131,7 @@ def test_gm_two_commuting(tmp_path):
 
 
 def test_gm_three_commuting_diagonals(tmp_path):
-    # the cyclic mean of commuting diagonals is the entrywise geometric mean:
+    # the Karcher mean of commuting diagonals is the entrywise geometric mean:
     # the 1-D Frechet mean under |log x - log y|
     vals = (2.0, 3.0, 12.0)
     oracle = math.exp(sum(math.log(v) for v in vals) / 3)
@@ -142,6 +144,7 @@ def test_gm_three_commuting_diagonals(tmp_path):
     res = read(out)
     emp = np.array(res["empirical"])
     assert np.max(np.abs(emp - np.diag([oracle, oracle]))) <= 1e-8
+    assert res["error_bound"] <= 1e-10
 
 
 def test_gm_rejects_non_spd(tmp_path):

@@ -166,6 +166,8 @@ def test_sphere_antipodal_error():
     sph = Sphere(1.0)
     with pytest.raises(AntipodalError):
         sph.geodesic_point(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 0.5)
+    with pytest.raises(AntipodalError):
+        sph.log(np.array([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
 
 
 def test_payload_shape_mismatch():
@@ -246,6 +248,24 @@ def test_geodesic_outputs_validate(space, rng):
         x, y = random_point(space, rng), random_point(space, rng)
         g = space.geodesic_point(x, y, rng.uniform())
         assert space.validate_point(g) is None
+
+
+@pytest.mark.parametrize(
+    "space", [s for s in all_spaces() if not isinstance(s, MetricTree)] + [SpdAffine(2)], ids=repr)
+def test_exp_inverts_log(space, rng):
+    for _ in range(50):
+        x = random_point(space, rng)
+        ys = [random_point(space, rng) for _ in range(3)] + [x]
+        vs, norms = space.log(x, np.stack(ys))
+        for y, v, r in zip(ys, vs, norms):
+            d = space.dist(x, y)
+            assert abs(r - d) <= 1e-12 * (1.0 + d)
+            assert abs(space.tangent_norm(x, v) - d) <= 1e-12 * (1.0 + d)
+            assert space.validate_point(space.exp(x, v)) is None
+            assert space.dist(space.exp(x, v), y) <= 1e-9 * (1.0 + d)
+            t = rng.uniform()
+            gap = space.dist(space.exp(x, t * v), space.geodesic_point(x, y, t))
+            assert gap <= 1e-9 * (1.0 + d)
 
 
 # ---------------------------------------------------------------------------
