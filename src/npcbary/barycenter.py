@@ -2,7 +2,8 @@
 
 Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
-but needs only geodesics.  The empirical barycenter merges repeated points
+but needs only geodesics, and on the smooth spaces many draws walk it in
+lockstep through the row-wise geodesic.  The empirical barycenter merges repeated points
 into atoms weighted by their counts and solves for the Frechet mean of those
 atoms; weighted barycenters solve the same problem for given weights.  On a
 metric tree, where the Frechet functional is a convex quadratic along each
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -47,10 +48,14 @@ from .spaces import (
 
 DEFAULT_MAX_CYCLES = 100_000
 
+# A fixed-point step no longer than this times (1 + max_i d(s, x_i)) is at
+# the rounding level of the log maps it is formed from.
+STALL_REL = 4.0 * sys.float_info.epsilon
+
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point iteration exhausted max_cycles iterations before its
-    error bound reached the tolerance.
+    """The fixed-point iteration exhausted max_cycles iterations, or its
+    steps shrank to rounding, before its error bound reached the tolerance.
 
     Carries the last iterate, the length of its last step and the number of
     iterations.
@@ -182,6 +187,20 @@ def inductive_barycenter(space: Space, points: Sequence):
     return s
 
 
+def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """:func:`inductive_barycenter` of every row of the index matrix ``idx``
+    at once, row i's points being ``support[idx[i]]``.  All rows advance
+    together through the space's row-wise geodesic, gathering step k's
+    points from column k, so no (rows, n, point) array is built.  Row i of
+    the result matches the scalar recursion on its points up to rounding;
+    metric trees have no row-wise geodesic."""
+    cols = np.ascontiguousarray(idx.T)
+    s = support[cols[0]]
+    for k, col in enumerate(cols[1:], start=2):
+        s = space.row_geodesic(s, support[col], 1.0 / k)
+    return s
+
+
 def empirical_barycenter(
     space: Space,
     points: Sequence,
@@ -197,7 +216,8 @@ def empirical_barycenter(
     result lies within ``error_bound`` <= ``tol`` of the Frechet mean,
     ``iterations`` counts the fixed-point iterations after the warm start
     and ``max_cycles`` bounds them.  Raises :class:`ConvergenceError` if
-    ``max_cycles`` iterations do not certify ``tol``.  Metric trees are
+    ``max_cycles`` iterations do not certify ``tol``, or once the steps
+    shrink to rounding with ``tol`` still uncertified.  Metric trees are
     solved in closed form by :meth:`~npcbary.spaces.MetricTree.frechet_mean`,
     with no iteration.
     """
@@ -205,11 +225,14 @@ def empirical_barycenter(
     if n < 1:
         raise SpaceError("need at least one point")
     # Draws from a finite support repeat the same objects, so they are counted
-    # by identity first, at C speed, and only the distinct objects by value.
-    objects = dict(zip(map(id, points), points))
+    # by identity first, in one numpy pass, and only the distinct objects by
+    # value, in the order of their first draw.
+    ids = np.fromiter(map(id, points), dtype=np.uintp, count=n)
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
     atoms: dict = {}
-    for i, m in Counter(map(id, points)).items():
-        x = objects[i]
+    for i, m in zip(first[order].tolist(), counts[order].tolist()):
+        x = points[i]
         key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
         atoms.setdefault(key, [x, 0])[1] += m
     xs, counts = zip(*atoms.values())
@@ -238,8 +261,10 @@ def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
     this visit; for two atoms it is the mean.  Each iteration then forms
     g = sum_i w_i log_s x_i, returns once :func:`_error_bound` certifies
     d(s, b*) <= tol, and otherwise steps s <- exp_s(alpha g), alpha from
-    :func:`_step_size`.  On a sphere the certificate's ball is the smaller
-    of the one centred at s, radius max_i d(s, x_i), and the
+    :func:`_step_size`.  It gives up after ``max_cycles`` iterations, or
+    after a step no longer than STALL_REL (1 + max_i d(s, x_i)), which moves
+    s no further than rounding does.  On a sphere the certificate's ball is
+    the smaller of the one centred at s, radius max_i d(s, x_i), and the
     :func:`support_ball` widened to reach s.
 
     ``tol=None`` is resolved only where the loop runs, to
@@ -281,18 +306,19 @@ def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
         bound = _error_bound(space, g_norm, radius)
         if bound <= tol:
             return s, iteration, step, bound, float(weights @ r**2)
-        if iteration >= max_cycles:
-            break
+        # a step below the rounding of the distances it came from moves s no
+        # further, so a bound still above tol is as low as it gets
+        if iteration >= max_cycles or iteration and step <= STALL_REL * (1.0 + float(r.max())):
+            raise ConvergenceError(
+                f"barycenter not certified to {tol} after {iteration} iterations "
+                f"(max_cycles {max_cycles}; error bound {bound}, last step {step})",
+                point=s,
+                displacement=step,
+                iterations=iteration,
+            )
         alpha = _step_size(space, weights, r)
         s = space.exp(s, alpha * g)
         step = alpha * g_norm
-    raise ConvergenceError(
-        f"barycenter not certified to {tol} within {max_cycles} iterations "
-        f"(error bound {bound}, last step {step})",
-        point=s,
-        displacement=step,
-        iterations=max_cycles,
-    )
 
 
 def _error_bound(space: Space, g_norm: float, radius: float) -> float:

@@ -27,6 +27,7 @@ from .barycenter import (
     empirical_barycenter,
     frechet_variance,
     inductive_barycenter,
+    inductive_rows,
     sample_diameter,
     support_ball,
     weighted_barycenter,
@@ -60,6 +61,10 @@ TRIAL_TOL_REL = 1e-4
 GROUND_TRUTH_TOL_REL = 1e-9
 
 ESTIMATORS = ("empirical", "inductive")
+
+# Inductive trials on the smooth spaces advance in lockstep, this many at a
+# time: memory is one (block, n) index matrix and one stack of iterates.
+LOCKSTEP_BLOCK = 128
 
 # The radii a coverage run can check, evaluated through bounds.BOUND_EVALUATORS.
 COVERAGE_BOUNDS = ("subgaussian", "hoeffding", "bernstein", "noniid_hoeffding", "noniid_bernstein")
@@ -331,6 +336,19 @@ def _trial_estimator(config: ExperimentConfig, trial_tol: float) -> Callable:
     return run
 
 
+def _trial_indices(config: ExperimentConfig, offsets: np.ndarray, trial: int) -> np.ndarray:
+    """Trial ``trial``'s n draws, as indices into the supports stacked in
+    distribution order (distribution j's atoms start at offsets[j]).
+    i.i.d.: n draws from the one distribution; otherwise one draw from each
+    distribution in turn, consuming the same uniforms as n draws at once."""
+    rng = trial_rng(config.seed, trial)
+    size = config.n if config.iid else 1
+    return np.concatenate([
+        off + draw_indices(d.cumulative_weights(), rng, size)
+        for off, d in zip(offsets.tolist(), config.distributions)
+    ])
+
+
 def _setup_ground_truth(config: ExperimentConfig):
     """Population barycenter, per-variable sigma/C, and the sampling tables."""
     space = config.space
@@ -361,7 +379,10 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
 
     The boundedness center x0 is taken to be b* itself and C the largest
     support distance from it, the choice that minimizes C.  A trial whose
-    barycenter solve fails aborts the run with the trial index.
+    barycenter solve fails aborts the run with the trial index.  Inductive
+    trials on the smooth spaces advance in lockstep, LOCKSTEP_BLOCK at a
+    time, each from its own draws; metric trees and the empirical estimator
+    solve trial by trial.
     """
     t0 = time.perf_counter()
     space = config.space
@@ -373,26 +394,34 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
 
     bound_value = _resolve_bound(config, sigma, C, sigmas, Cs)
 
-    trial_tol = config.tol
-    if trial_tol is None:
-        trial_tol = TRIAL_TOL_REL * (1.0 + D)
-    estimate = _trial_estimator(config, trial_tol)
-
-    # i.i.d.: n draws from the one distribution; otherwise one draw from each
-    # distribution in turn, consuming the same uniforms as n draws at once
-    size = config.n if config.iid else 1
-    blocks = [(d.support, d.cumulative_weights()) for d in dists]
+    offsets = np.cumsum([0] + [len(d.support) for d in dists[:-1]])
+    atoms = [x for d in dists for x in d.support]
     distances = []
-    for t in range(config.trials):
-        rng = trial_rng(config.seed, t)
-        pts = [support[i] for support, cum in blocks for i in draw_indices(cum, rng, size)]
-        try:
-            t_n = estimate(pts)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"trial {t}: {exc}", exc.point, exc.displacement, exc.iterations
-            ) from exc
-        distances.append(space.dist(t_n, b_star))
+    if config.estimator == "inductive" and not isinstance(space, MetricTree):
+        # smooth spaces: the trials of a block advance in lockstep
+        support = np.stack(atoms)
+        for start in range(0, config.trials, LOCKSTEP_BLOCK):
+            trials = range(start, min(start + LOCKSTEP_BLOCK, config.trials))
+            idx = np.stack([_trial_indices(config, offsets, t) for t in trials])
+            distances += [space.dist(t_n, b_star) for t_n in inductive_rows(space, support, idx)]
+    else:
+        trial_tol = config.tol
+        if trial_tol is None:
+            trial_tol = TRIAL_TOL_REL * (1.0 + D)
+        estimate = _trial_estimator(config, trial_tol)
+        # the draws index an object array, which hands back the support's own
+        # objects for empirical_barycenter to count by identity
+        support = np.empty(len(atoms), dtype=object)
+        for i, x in enumerate(atoms):
+            support[i] = x
+        for t in range(config.trials):
+            try:
+                t_n = estimate(support[_trial_indices(config, offsets, t)].tolist())
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"trial {t}: {exc}", exc.point, exc.displacement, exc.iterations
+                ) from exc
+            distances.append(space.dist(t_n, b_star))
 
     arr = np.asarray(distances)
     coverage = float(np.mean(arr <= bound_value))
@@ -753,7 +782,9 @@ def npc_property_suite(
                 tx = inductive_barycenter(space, xs)
                 ty = inductive_barycenter(space, ys)
             else:
-                tol = solver_tol_rel * (1.0 + sample_diameter(space, list(xs) + list(ys)))
+                # the exact tree solve takes no tolerance
+                tol = None if isinstance(space, MetricTree) else (
+                    solver_tol_rel * (1.0 + sample_diameter(space, list(xs) + list(ys))))
                 rx = empirical_barycenter(space, xs, tol=tol)
                 ry = empirical_barycenter(space, ys, tol=tol)
                 tx, ty = rx.point, ry.point

@@ -79,6 +79,17 @@ class Space:
         """Point gamma_{x,y}(t) on the constant-speed geodesic from x to y."""
         raise NotImplementedError
 
+    # Row-wise forms of the smooth spaces: row i of the result is the scalar
+    # operation on row i of each stack (leading axis of pairs) ---------------
+
+    def row_dist(self, xs, ys) -> np.ndarray:
+        """d(xs[i], ys[i]) for each row i of two stacks of points."""
+        raise NotImplementedError
+
+    def row_geodesic(self, xs, ys, t: float) -> np.ndarray:
+        """gamma_{xs[i], ys[i]}(t) for each row i, one t for every row."""
+        raise NotImplementedError
+
     # Riemannian maps of the smooth spaces (metric trees have none) ----------
 
     def log(self, x, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +170,12 @@ class Euclidean(Space):
         t = _check_t(t)
         return (1.0 - t) * x + t * y
 
+    def row_dist(self, xs, ys):
+        d = xs - ys
+        return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    row_geodesic = geodesic_point
+
     def log(self, x, ys):
         vs = ys - x
         return vs, np.sqrt(np.einsum("ij,ij->i", vs, vs))
@@ -178,6 +195,11 @@ class Euclidean(Space):
 def _mink(x: np.ndarray, y: np.ndarray) -> float:
     """Minkowski form x1*y1 + ... + xd*yd - x_{d+1}*y_{d+1}."""
     return float(x @ y) - 2.0 * float(x[-1]) * float(y[-1])
+
+
+def _mink_rows(d: np.ndarray) -> np.ndarray:
+    """<d_i, d_i>_M for each row d_i of a stack."""
+    return np.einsum("ij,ij->i", d, d) - 2.0 * d[:, -1] ** 2
 
 
 @dataclass(frozen=True)
@@ -236,13 +258,30 @@ class Hyperbolic(Space):
             out /= math.sqrt(q)
         return out
 
+    def row_dist(self, xs, ys):
+        q = np.maximum(_mink_rows(xs - ys), 0.0)
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q)) / math.sqrt(-self.kappa)
+
+    def row_geodesic(self, xs, ys, t):
+        # geodesic_point's formula, row by row; a row whose rapidity is below
+        # 1e-14 stays at its x
+        t = _check_t(t)
+        s = self.row_dist(xs, ys) * math.sqrt(-self.kappa)
+        moves = s >= 1e-14
+        sh = np.where(moves, np.sinh(s), 1.0)
+        u = (ys - np.cosh(s)[:, None] * xs) / sh[:, None]
+        out = np.cosh(t * s)[:, None] * xs + np.sinh(t * s)[:, None] * u
+        q = self.kappa * _mink_rows(out)
+        out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
+        return np.where(moves[:, None], out, xs)
+
     def log(self, x, ys):
         # the rapidity theta = d * sqrt(-kappa) from the Minkowski chord q, as
         # in dist; y - cosh(theta) x is formed as (y - x) + (kappa q / 2) x,
         # since cosh(theta) - 1 = -kappa q / 2, free of cancellation for
         # nearby pairs
         d = ys - x
-        q = np.maximum(np.einsum("ij,ij->i", d, d) - 2.0 * d[:, -1] ** 2, 0.0)
+        q = np.maximum(_mink_rows(d), 0.0)
         theta = 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q))
         u = d + (0.5 * self.kappa * q)[:, None] * x
         return _over(theta, np.sinh)[:, None] * u, theta / math.sqrt(-self.kappa)
@@ -258,7 +297,18 @@ class Hyperbolic(Space):
         return out
 
     def tangent_norm(self, x, v) -> float:
-        return math.sqrt(max(_mink(v, v), 0.0))
+        # <v,v>_M = |v_s|^2 - v_t^2 cancels for long v, s the spatial and t
+        # the last part.  Split v_s = a x_s + p with p orthogonal to x_s:
+        # <x,v>_M = 0 then gives <v,v>_M = a^2 |x_s|^2 / (|kappa| x_t^2) + |p|^2
+        *xs, xt = x.tolist()
+        vs = v.tolist()
+        xx = xv = 0.0
+        for c, d in zip(xs, vs):
+            xx += c * c
+            xv += c * d
+        a = xv / xx if xx > 0.0 else 0.0
+        pp = sum((d - a * c) ** 2 for c, d in zip(xs, vs))
+        return math.sqrt(a * a * xx / (-self.kappa * xt * xt) + pp)
 
     def exp_from_base(self, direction: np.ndarray, radius: float) -> np.ndarray:
         """Point at metric distance ``radius`` from the base point, in the
@@ -345,15 +395,41 @@ class Sphere(Space):
             out *= self.radius / nrm
         return out
 
-    def log(self, x, ys):
-        # the angle theta = d * sqrt(kappa) is twice the angle between the
-        # chords y - x and y + x, accurate for nearby and near-antipodal pairs;
-        # y - cos(theta) x is formed as (y - x) + (kappa |y - x|^2 / 2) x,
-        # since 1 - cos(theta) = kappa |y - x|^2 / 2
-        d = ys - x
-        s = ys + x
+    @staticmethod
+    def _angles(xs, ys):
+        """Per row, the angle theta = d * sqrt(kappa) at the center, twice the
+        angle between the chords y - x and y + x and so accurate for nearby
+        and near-antipodal pairs, with the chord y - x and its square."""
+        d = ys - xs
+        s = ys + xs
         chord2 = np.einsum("ij,ij->i", d, d)
         theta = 2.0 * np.arctan2(np.sqrt(chord2), np.sqrt(np.einsum("ij,ij->i", s, s)))
+        return theta, d, chord2
+
+    def row_dist(self, xs, ys):
+        return self._angles(xs, ys)[0] / math.sqrt(self.kappa)
+
+    def row_geodesic(self, xs, ys, t):
+        # geodesic_point's formula, row by row; a row whose angle is below
+        # 1e-14 stays at its x
+        t = _check_t(t)
+        omega = self._angles(xs, ys)[0]
+        if omega.max() >= math.pi * (1.0 - 1e-9):
+            raise AntipodalError(
+                "antipodal sphere points: the connecting geodesic is not unique"
+            )
+        moves = omega >= 1e-14
+        so = np.where(moves, np.sin(omega), 1.0)
+        out = np.sin((1.0 - t) * omega)[:, None] * xs + np.sin(t * omega)[:, None] * ys
+        out /= so[:, None]
+        nrm = np.sqrt(np.einsum("ij,ij->i", out, out))
+        out *= (self.radius / np.where(moves, nrm, 1.0))[:, None]
+        return np.where(moves[:, None], out, xs)
+
+    def log(self, x, ys):
+        # y - cos(theta) x is formed as (y - x) + (kappa |y - x|^2 / 2) x,
+        # since 1 - cos(theta) = kappa |y - x|^2 / 2
+        theta, d, chord2 = self._angles(x, ys)
         if theta.max() >= math.pi * (1.0 - 1e-9):
             raise AntipodalError("antipodal sphere points: the log map is not unique")
         u = d + (0.5 * self.kappa * chord2)[:, None] * x
@@ -389,104 +465,47 @@ class Sphere(Space):
 # ---------------------------------------------------------------------------
 
 
-def _eig2(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    """Eigendecomposition of the symmetric 2x2 matrix [[a, b], [b, c]].
-
-    Returns (l1, l2, co, si) with l1 <= l2; the eigenvector of l2 is
-    (co, si) and the eigenvector of l1 is (-si, co).
-    """
-    if b == 0.0:
-        if a >= c:
-            return c, a, 1.0, 0.0
-        return a, c, 0.0, 1.0
-    half = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    theta = 0.5 * math.atan2(2.0 * b, a - c)
-    return half - disc, half + disc, math.cos(theta), math.sin(theta)
-
-
-def _sym2_from_eig(m1: float, m2: float, co: float, si: float):
-    """Recompose m1 * v1 v1^T + m2 * v2 v2^T for the _eig2 eigenvectors."""
-    r11 = m1 * si * si + m2 * co * co
-    r12 = (m2 - m1) * co * si
-    r22 = m1 * co * co + m2 * si * si
-    return r11, r12, r22
-
-
-def _spd2_congruence(A: np.ndarray, B: np.ndarray):
-    """A's clamped eigenvalue square roots and eigenvector, (s1, s2, co, si)
-    in the _eig2 convention, and M = A^{-1/2} B A^{-1/2} as (m11, m12, m22).
-    The closed-form 2x2 path avoids LAPACK call overhead in hot loops."""
-    a = float(A[0, 0]); b = 0.5 * (float(A[0, 1]) + float(A[1, 0])); c = float(A[1, 1])
-    l1, l2, co, si = _eig2(a, b, c)
-    floor = _EIG_FLOOR_REL * max(l2, 1e-300)
-    s1 = math.sqrt(max(l1, floor)); s2 = math.sqrt(max(l2, floor))
-    p11, p12, p22 = _sym2_from_eig(1.0 / s1, 1.0 / s2, co, si)  # A^{-1/2}
-
-    b11 = float(B[0, 0]); b12 = 0.5 * (float(B[0, 1]) + float(B[1, 0])); b22 = float(B[1, 1])
-    t11 = p11 * b11 + p12 * b12; t12 = p11 * b12 + p12 * b22
-    t21 = p12 * b11 + p22 * b12; t22 = p12 * b12 + p22 * b22
-    m11 = t11 * p11 + t12 * p12
-    m22 = t21 * p12 + t22 * p22
-    m12 = 0.5 * ((t11 * p12 + t12 * p22) + (t21 * p11 + t22 * p12))
-    return (s1, s2, co, si), (m11, m12, m22)
-
-
-def _spd2_geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
-    (s1, s2, co, si), (m11, m12, m22) = _spd2_congruence(A, B)
-    q11, q12, q22 = _sym2_from_eig(s1, s2, co, si)        # A^{1/2}
-    u1, u2, co2, si2 = _eig2(m11, m12, m22)
-    floor = _EIG_FLOOR_REL * max(u2, 1e-300)
-    w1 = max(u1, floor) ** t
-    w2 = max(u2, floor) ** t
-    n11, n12, n22 = _sym2_from_eig(w1, w2, co2, si2)      # M^t
-
-    # out = A^{1/2} M^t A^{1/2}
-    t11 = q11 * n11 + q12 * n12; t12 = q11 * n12 + q12 * n22
-    t21 = q12 * n11 + q22 * n12; t22 = q12 * n12 + q22 * n22
-    o11 = t11 * q11 + t12 * q12
-    o22 = t21 * q12 + t22 * q22
-    o12 = 0.5 * ((t11 * q12 + t12 * q22) + (t21 * q11 + t22 * q12))
-    return np.array([[o11, o12], [o12, o22]])
-
-
-def _spd2_dist(A: np.ndarray, B: np.ndarray) -> float:
-    # eigenvalues of M = A^{-1/2} B A^{-1/2} computed through M itself: the
-    # generalized-eigenvalue quadratic in det/trace form loses half the
-    # significand to discriminant cancellation when A and B are close
-    _, (m11, m12, m22) = _spd2_congruence(A, B)
-    u1, u2, _, _ = _eig2(m11, m12, m22)
-    floor = _EIG_FLOOR_REL * max(u2, 1e-300)
-    return math.hypot(math.log(max(u1, floor)), math.log(max(u2, floor)))
-
-
 def sym_part(M: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def _clamp(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix (or of each of a stack) clamped below
+    at 1e-12 times the largest."""
+    return np.maximum(w, _EIG_FLOOR_REL * np.maximum(w[..., -1:], 1e-300))
 
 
 def _eigh_clamped(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of sym_part(M), or of each matrix of a stack, with
+    the eigenvalues clamped."""
     w, U = np.linalg.eigh(sym_part(M))
-    floor = _EIG_FLOOR_REL * max(float(w[-1]), 1e-300)
-    return np.maximum(w, floor), U
+    return _clamp(w), U
 
 
-def spd_power(M: np.ndarray, s: float) -> np.ndarray:
-    """M^s for symmetric M via eigendecomposition, eigenvalues clamped below
-    at 1e-12 times the largest, result re-symmetrized."""
-    w, U = _eigh_clamped(M)
-    return sym_part((U * w**s) @ U.T)
+def _recompose(U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U diag(w) U^T, for a matrix or each matrix of a stack."""
+    return (U * w[..., None, :]) @ U.swapaxes(-1, -2)
 
 
-def _spd_roots(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A^{1/2} and A^{-1/2} from one clamped eigendecomposition."""
+def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C = U diag(w)^{1/2} and C^{-T} = U diag(w)^{-1/2} from A's clamped
+    eigenpairs, for a matrix or a stack of them.  A = C C^T, and C differs
+    from A^{1/2} by the rotation U, so for any matrix function f,
+    A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} = C f(C^{-1} B C^{-T}) C^T."""
     w, U = _eigh_clamped(A)
-    return (U * w**0.5) @ U.T, (U * w**-0.5) @ U.T
+    r = np.sqrt(w)[..., None, :]
+    return U * r, U / r
+
+
+def _congruence(F: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C^{-1} B C^{-T} from F = C^{-T}."""
+    return F.swapaxes(-1, -2) @ B @ F
 
 
 def spd_exp(S: np.ndarray) -> np.ndarray:
     w, U = np.linalg.eigh(sym_part(S))
-    return sym_part((U * np.exp(w)) @ U.T)
+    return sym_part(_recompose(U, np.exp(w)))
 
 
 @dataclass(frozen=True)
@@ -495,7 +514,10 @@ class SpdAffine(Space):
     metric d(A,B) = ||log(A^-1/2 B A^-1/2)||_F.
 
     The geodesic from A to B is the weighted geometric mean
-    A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
+    A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, computed as
+    C (C^{-1} B C^{-T})^t C^T for any A = C C^T.  Each formula is written
+    once, over stacks (..., p, p): ``dist`` and ``geodesic_point`` are the
+    unbatched case of ``row_dist`` and ``row_geodesic``.
     """
 
     p: int
@@ -511,32 +533,34 @@ class SpdAffine(Space):
         return (self.p, self.p)
 
     def dist(self, x, y) -> float:
-        if self.p == 2:
-            return _spd2_dist(x, y)
-        w, U = _eigh_clamped(x)
-        isq = (U * w**-0.5) @ U.T
-        w, _ = _eigh_clamped(isq @ y @ isq)
-        return math.sqrt(float(np.sum(np.log(w) ** 2)))
+        return float(self.row_dist(x, y))
 
     def geodesic_point(self, x, y, t):
+        return self.row_geodesic(x, y, t)
+
+    def row_dist(self, xs, ys):
+        _, F = _factor(xs)
+        m = _clamp(np.linalg.eigvalsh(sym_part(_congruence(F, ys))))
+        return np.sqrt((np.log(m) ** 2).sum(axis=-1))
+
+    def row_geodesic(self, xs, ys, t):
         t = _check_t(t)
-        if self.p == 2:
-            return _spd2_geodesic(x, y, t)
-        sq, isq = _spd_roots(x)
-        return sym_part(sq @ spd_power(isq @ y @ isq, t) @ sq)
+        C, F = _factor(xs)
+        m, V = _eigh_clamped(_congruence(F, ys))
+        return sym_part(_recompose(C @ V, m**t))
 
     def log(self, x, ys):
-        # log_x(y) = x^{1/2} log(x^{-1/2} y x^{-1/2}) x^{1/2}: one
-        # eigendecomposition of x and one stacked over the atoms
-        sq, isq = _spd_roots(x)
-        lam, V = np.linalg.eigh(sym_part(isq @ ys @ isq))
-        logs = np.log(np.maximum(lam, _EIG_FLOOR_REL * np.maximum(lam[:, -1:], 1e-300)))
-        vs = sym_part(sq @ (V * logs[:, None, :]) @ np.swapaxes(V, -1, -2) @ sq)
-        return vs, np.sqrt(np.sum(logs**2, axis=1))
+        # log_x(y) = C log(C^{-1} y C^{-T}) C^T: one eigendecomposition of x
+        # and one stacked over the atoms
+        C, F = _factor(x)
+        m, V = _eigh_clamped(_congruence(F, ys))
+        logs = np.log(m)
+        return sym_part(_recompose(C @ V, logs)), np.sqrt((logs**2).sum(axis=-1))
 
     def exp(self, x, v):
-        sq, isq = _spd_roots(x)
-        return sym_part(sq @ spd_exp(isq @ v @ isq) @ sq)
+        C, F = _factor(x)
+        e, V = np.linalg.eigh(sym_part(_congruence(F, v)))
+        return sym_part(_recompose(C @ V, np.exp(e)))
 
     def tangent_norm(self, x, v) -> float:
         # ||x^{-1/2} v x^{-1/2}||_F^2 = tr(a a) with a = x^{-1} v

@@ -124,6 +124,21 @@ def test_convergence_error_carries_state():
     assert err.iterations > 0
 
 
+# five points a quarter turn apart: no ball inside pi/2 holds them, so no
+# iterate can be certified, while the steps shrink to rounding
+UNCERTIFIABLE_SPHERE_POINTS = (
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-0.6, -0.8, 0.0), (0.0, -0.6, -0.8),
+)
+
+
+def test_convergence_error_once_the_steps_stall():
+    pts = [np.array(p) for p in UNCERTIFIABLE_SPHERE_POINTS]
+    with pytest.raises(ConvergenceError) as info:
+        empirical_barycenter(Sphere(1.0), pts)
+    assert 0 < info.value.iterations < 1000
+    assert info.value.displacement < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the error bound certifies the distance to the Frechet mean
 # ---------------------------------------------------------------------------

@@ -108,6 +108,17 @@ def test_barycenter_convergence_failure(tmp_path):
     assert main(["barycenter", "--input", inp, "--tol", "1e-12", "--max-cycles", "5"]) == 3
 
 
+def test_barycenter_stalled_solve_exits_3(tmp_path):
+    # no ball inside pi/2 holds these points: exit 3 once the steps stall
+    inp = write(
+        tmp_path / "sphere_points.json",
+        {"space": {"kind": "sphere", "kappa": 1.0, "dim": 2},
+         "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                    [-0.6, -0.8, 0.0], [0.0, -0.6, -0.8]]},
+    )
+    assert main(["barycenter", "--input", inp]) == 3
+
+
 def test_gm_identical(tmp_path):
     A = [[2.0, 0.3], [0.3, 1.5]]
     inp = write(tmp_path / "mats.json", {"matrices": [A, A]})

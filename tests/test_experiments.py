@@ -12,6 +12,7 @@ from npcbary import (
     DistributionSpec,
     Euclidean,
     ExperimentConfig,
+    MetricTree,
     SpaceError,
     Sphere,
     npc_property_suite,
@@ -22,13 +23,15 @@ from npcbary import (
     verify_sturm_lln,
     verify_subgaussian_witness,
 )
-from npcbary import bounds
-from npcbary.experiments import draw_indices, trial_rng
+from npcbary import bounds, inductive_barycenter
+from npcbary.experiments import LOCKSTEP_BLOCK, draw_indices, trial_rng
 from npcbary.presets import (
+    PRESETS,
     bernstein_config,
     hoeffding_config,
     noniid_config,
     pac_points,
+    preset_config,
     sphere_cap_distribution,
     sturm_config,
     witness_distribution,
@@ -233,6 +236,44 @@ def test_noniid_identical_matches_iid():
     assert a.distances == b.distances
 
 
+def per_trial_inductive(cfg):
+    """d(T_n, b*) per trial from the scalar recursion over each trial's draws."""
+    b_star = population_barycenter(cfg.distributions[0])
+    size = cfg.n if cfg.iid else 1
+    out = []
+    for t in range(cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        pts = [d.support[i] for d in cfg.distributions
+               for i in draw_indices(d.cumulative_weights(), rng, size)]
+        out.append(cfg.space.dist(inductive_barycenter(cfg.space, pts), b_star))
+    return np.array(out)
+
+
+SMOOTH_INDUCTIVE_PRESETS = sorted(
+    name for name in PRESETS
+    if preset_config(name).estimator == "inductive"
+    and not isinstance(preset_config(name).space, MetricTree)
+)
+
+
+@pytest.mark.parametrize("name", SMOOTH_INDUCTIVE_PRESETS)
+def test_lockstep_trials_match_the_per_trial_recursion(name):
+    cfg = preset_config(name)
+    cfg.trials = 50
+    rep = run_concentration(cfg)
+    gap = np.abs(np.array(rep.distances) - per_trial_inductive(cfg))
+    assert gap.max() <= 1e-10 * (1.0 + rep.D)
+
+
+def test_lockstep_blocks_cover_every_trial():
+    cfg = hoeffding_config("hyperbolic", "inductive", seed=9)
+    cfg.trials = LOCKSTEP_BLOCK + 3
+    rep = run_concentration(cfg)
+    want = per_trial_inductive(cfg)
+    assert len(rep.distances) == len(want)
+    assert np.all(np.abs(np.array(rep.distances) - want) <= 1e-10 * (1.0 + rep.D))
+
+
 def test_noniid_requires_shared_barycenter():
     shifted = DistributionSpec(Euclidean(1), [np.array([1.0]), np.array([3.0])])
     cfg = ExperimentConfig(
@@ -430,6 +471,16 @@ def test_property_suite_euclidean():
 
 def test_property_suite_tree():
     rep = npc_property_suite(star_tree(), samples=300, tuple_pairs=15, seed=2)
+    assert rep.passed
+
+
+def test_property_suite_tree_takes_no_tolerance(monkeypatch):
+    # the exact tree solve ignores tol, so no diameter is computed for it
+    def no_diameter(*args, **kwargs):
+        raise AssertionError("sample_diameter called")
+
+    monkeypatch.setattr("npcbary.experiments.sample_diameter", no_diameter)
+    rep = npc_property_suite(star_tree(), samples=20, tuple_pairs=10, seed=2)
     assert rep.passed
 
 

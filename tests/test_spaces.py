@@ -268,6 +268,60 @@ def test_exp_inverts_log(space, rng):
             assert gap <= 1e-9 * (1.0 + d)
 
 
+def test_hyperbolic_exp_inverts_log_on_far_pairs():
+    # the Minkowski norm of a long tangent vector is formed without
+    # cancellation, so exp(x, log_x y) lands on y at rounding level
+    space = Hyperbolic(-2.5, 3)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x, y = random_point(space, rng), random_point(space, rng)
+        v = space.log(x, y[None])[0][0]
+        assert space.dist(space.exp(x, v), y) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# row-wise forms over a leading axis of pairs
+# ---------------------------------------------------------------------------
+
+ROW_SPACES = [Euclidean(2), Hyperbolic(-1.0), Sphere(1.0), SpdAffine(2), SpdAffine(3)]
+
+
+@pytest.mark.parametrize("space", ROW_SPACES, ids=repr)
+def test_row_forms_match_the_scalar_calls(space, rng):
+    xs = [random_point(space, rng) for _ in range(12)]
+    ys = [random_point(space, rng) for _ in range(12)]
+    for i in (2, 7):  # equal pairs, d = 0, among distinct ones
+        ys[i] = xs[i].copy()
+    X, Y = np.stack(xs), np.stack(ys)
+    axes = tuple(range(1, X.ndim))
+    d = space.row_dist(X, Y)
+    want = np.array([space.dist(x, y) for x, y in zip(xs, ys)])
+    assert d.shape == (12,) and np.all(d[[2, 7]] <= 1e-12)
+    for t in (0.0, 1.0 / 7.0, 1.0):
+        g = space.row_geodesic(X, Y, t)
+        want_g = np.stack([space.geodesic_point(x, y, t) for x, y in zip(xs, ys)])
+        if isinstance(space, SpdAffine):
+            # the scalar calls are the unbatched case of the same code
+            assert np.array_equal(g, want_g)
+        else:
+            gap = np.sqrt(np.sum((g - want_g) ** 2, axis=axes))
+            assert np.all(gap <= 1e-12 * np.sqrt(np.sum(want_g**2, axis=axes)))
+    if isinstance(space, SpdAffine):
+        assert np.array_equal(d, want)
+    else:
+        assert np.all(np.abs(d - want) <= 1e-12 * want)
+
+
+def test_row_geodesic_rejects_an_antipodal_row():
+    sph = Sphere(1.0)
+    x = sph.base_point()
+    X = np.stack([x, x, x])
+    Y = np.stack([sph.exp_from_base(np.array([1.0, 0.0]), 1.0), x, -x])
+    with pytest.raises(AntipodalError):
+        sph.row_geodesic(X, Y, 0.5)
+    assert sph.row_dist(X, Y)[2] == pytest.approx(math.pi)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
