@@ -2,9 +2,9 @@
 
 Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
-but needs only geodesics, and on the smooth spaces many draws walk it in
-lockstep through the row-wise geodesic.  The empirical barycenter merges repeated points
-into atoms weighted by their counts and solves for the Frechet mean of those
+but needs only geodesics, and many draws walk it in lockstep through the
+row-wise geodesic.  The empirical barycenter merges repeated points into
+atoms weighted by their counts and solves for the Frechet mean of those
 atoms; weighted barycenters solve the same problem for given weights.  On a
 metric tree, where the Frechet functional is a convex quadratic along each
 edge, the mean is computed exactly.
@@ -148,6 +148,12 @@ class WeightedSample:
         return tuple(Fraction(1, n) for _ in self.points)
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the pairs i < j in row-major order, cheaply."""
+    k = np.arange(n)
+    return np.nonzero(k[:, None] < k)
+
+
 def sample_diameter(space: Space, points: Sequence, exact_cap: int = 600) -> float:
     """Diameter of a point set.  Exact (all pairs) up to ``exact_cap`` points;
     beyond that the 2 * max_i d(x_0, x_i) upper bound is used, which only
@@ -155,14 +161,11 @@ def sample_diameter(space: Space, points: Sequence, exact_cap: int = 600) -> flo
     n = len(points)
     if n <= 1:
         return 0.0
+    xs = np.array(points)
     if n <= exact_cap:
-        return max(
-            space.dist(points[i], points[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-    x0 = points[0]
-    return 2.0 * max(space.dist(x0, p) for p in points[1:])
+        i, j = _pairs(n)
+        return float(space.row_dist(xs[i], xs[j]).max())
+    return 2.0 * float(space.row_dist(xs[0], xs[1:]).max())
 
 
 def default_tolerance(space: Space, points: Sequence) -> float:
@@ -170,7 +173,7 @@ def default_tolerance(space: Space, points: Sequence) -> float:
 
 
 def frechet_objective(space: Space, points: Sequence, b) -> float:
-    return sum(space.dist(x, b) ** 2 for x in points) / len(points)
+    return sum(r**2 for r in space.row_dist(np.array(points), b).tolist()) / len(points)
 
 
 def inductive_barycenter(space: Space, points: Sequence):
@@ -189,11 +192,11 @@ def inductive_barycenter(space: Space, points: Sequence):
 
 def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """:func:`inductive_barycenter` of every row of the index matrix ``idx``
-    at once, row i's points being ``support[idx[i]]``.  All rows advance
-    together through the space's row-wise geodesic, gathering step k's
-    points from column k, so no (rows, n, point) array is built.  Row i of
-    the result matches the scalar recursion on its points up to rounding;
-    metric trees have no row-wise geodesic."""
+    at once, row i's points being ``support[idx[i]]`` (an array, or an
+    object array of tree points).  All rows advance together through the
+    space's row-wise geodesic, gathering step k's points from column k, so
+    no (rows, n, point) array is built.  Row i of the result matches the
+    scalar recursion on its points up to rounding."""
     cols = np.ascontiguousarray(idx.T)
     s = support[cols[0]]
     for k, col in enumerate(cols[1:], start=2):
@@ -240,11 +243,11 @@ def empirical_barycenter(
     return BarycenterResult(s, iterations, step, objective, bound)
 
 
-def support_ball(space: Space, points: Sequence) -> tuple[Any, float]:
-    """The best support-centred ball: the point c of ``points`` that
-    minimizes max_i d(c, x_i), the first on ties, and that radius."""
-    return min(((c, max((space.dist(c, x) for x in points if x is not c), default=0.0))
-                for c in points), key=lambda ball: ball[1])
+def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
+    """The best support-centred ball: the index c of the point of ``points``
+    that minimizes max_i d(x_c, x_i), the first on ties, and that radius."""
+    xs = np.array(points)
+    return min(enumerate(float(space.row_dist(x, xs).max()) for x in xs), key=lambda b: b[1])
 
 
 def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
@@ -265,7 +268,8 @@ def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
     after a step no longer than STALL_REL (1 + max_i d(s, x_i)), which moves
     s no further than rounding does.  On a sphere the certificate's ball is
     the smaller of the one centred at s, radius max_i d(s, x_i), and the
-    :func:`support_ball` widened to reach s.
+    :func:`support_ball` widened to reach s, read from the log map's
+    distance to its centre.
 
     ``tol=None`` is resolved only where the loop runs, to
     :func:`default_tolerance` over the atoms received.  Repeats do not change
@@ -302,7 +306,7 @@ def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
         g_norm = space.tangent_norm(s, g)
         radius = float(r.max())
         if ball is not None:  # the support-centred ball, widened to reach s
-            radius = min(radius, max(ball[1], space.dist(ball[0], s)))
+            radius = min(radius, max(ball[1], float(r[ball[0]])))
         bound = _error_bound(space, g_norm, radius)
         if bound <= tol:
             return s, iteration, step, bound, float(weights @ r**2)
@@ -378,9 +382,8 @@ def weighted_barycenter(
 def frechet_variance(space: Space, sample: WeightedSample, b) -> float:
     """sum_i w_i d(x_i, b)^2, the Frechet functional of the sample at b."""
     weights = sample.resolved_weights()
-    return float(
-        sum(float(w) * space.dist(x, b) ** 2 for w, x in zip(weights, sample.points))
-    )
+    r = space.row_dist(np.array(sample.points), b).tolist()
+    return float(sum(float(w) * ri**2 for w, ri in zip(weights, r)))
 
 
 def pairwise_variance_estimate(space: Space, points: Sequence) -> float:
@@ -389,11 +392,9 @@ def pairwise_variance_estimate(space: Space, points: Sequence) -> float:
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += space.dist(points[i], points[j]) ** 2
-    return 2.0 * total / (n * n)
+    xs = np.array(points)
+    i, j = _pairs(n)
+    return 2.0 * sum(r**2 for r in space.row_dist(xs[i], xs[j]).tolist()) / (n * n)
 
 
 def brute_force_barycenter(

@@ -1,6 +1,6 @@
 """Monte Carlo harness: sampling from discrete distributions on the
-implemented spaces, barycenter estimation per trial, and empirical
-verification of the concentration bounds.
+implemented spaces, barycenter estimation, and empirical verification of the
+concentration bounds.
 
 Ground truth (population barycenter, Frechet variance, support radius) is
 computed exactly from the weighted support, never estimated from samples, so
@@ -8,6 +8,12 @@ coverage checks carry a single layer of Monte Carlo error.  Every trial draws
 its own RNG stream from (seed, trial index); reports are therefore identical
 regardless of scheduling, and two runs of the same config and seed produce
 bitwise-identical distance lists.
+
+Trials hold their draws as indices into the stacked support: inductive
+trials advance in lockstep through row-wise geodesics, and an empirical trial
+hands the support's own objects to the solver, which counts them by identity
+into weighted atoms.  Ground truth and the property suite make row-wise
+calls over stacks, not pair loops.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ GROUND_TRUTH_TOL_REL = 1e-9
 
 ESTIMATORS = ("empirical", "inductive")
 
-# Inductive trials on the smooth spaces advance in lockstep, this many at a
-# time: memory is one (block, n) index matrix and one stack of iterates.
+# Trials run this many at a time, inductive ones in lockstep: memory is one
+# (block, n) index matrix and one stack of iterates.
 LOCKSTEP_BLOCK = 128
 
 # The radii a coverage run can check, evaluated through bounds.BOUND_EVALUATORS.
@@ -166,8 +172,9 @@ def sample(dist: DistributionSpec, rng: np.random.Generator):
 
 def draw_indices(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` atom indices from ``size`` uniforms of ``rng``, atom i drawn
-    with probability cum[i] - cum[i-1].  Every sampling path goes through
-    here, so one seed gives the same atoms whichever path draws them."""
+    with probability cum[i] - cum[i-1]: the number of entries of cum that
+    are <= u.  Every sampling path draws its atoms by this rule, so one seed
+    gives the same atoms whichever path draws them."""
     return np.searchsorted(cum, rng.random(size), side="right")
 
 
@@ -325,28 +332,39 @@ def _resolve_bound(config: ExperimentConfig, sigma: float, C: float,
     return bounds.evaluate_bound(config.bound, query) * float(overrides.get("scale", 1.0))
 
 
-def _trial_estimator(config: ExperimentConfig, trial_tol: float) -> Callable:
-    space = config.space
-    if config.estimator == "inductive":
-        return lambda pts: inductive_barycenter(space, pts)
+def _trial_draws(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
+    """Trial index -> the trial's n draws, as indices into the supports
+    stacked in distribution order: all from the one distribution if i.i.d.,
+    else draw i from distribution i.  The trial's stream gives n uniforms at
+    once, each picking its atom by the rule of :func:`draw_indices`."""
+    dists = config.distributions
+    if config.iid:
+        cum = dists[0].cumulative_weights()
+        return lambda trial: draw_indices(cum, trial_rng(config.seed, trial), config.n)
+    offsets = np.cumsum([0] + [len(d.support) for d in dists[:-1]])
+    # row i: distribution i's cumulative weights, padded with entries no u reaches
+    cums = np.full((len(dists), max(len(d.support) for d in dists)), np.inf)
+    for row, d in zip(cums, dists):
+        row[: len(d.support)] = d.cumulative_weights()
 
-    def run(pts):
-        return empirical_barycenter(space, pts, tol=trial_tol).point
+    def draws(trial):
+        u = trial_rng(config.seed, trial).random(config.n)
+        return offsets + np.count_nonzero(cums <= u[:, None], axis=1)
 
-    return run
+    return draws
 
 
-def _trial_indices(config: ExperimentConfig, offsets: np.ndarray, trial: int) -> np.ndarray:
-    """Trial ``trial``'s n draws, as indices into the supports stacked in
-    distribution order (distribution j's atoms start at offsets[j]).
-    i.i.d.: n draws from the one distribution; otherwise one draw from each
-    distribution in turn, consuming the same uniforms as n draws at once."""
-    rng = trial_rng(config.seed, trial)
-    size = config.n if config.iid else 1
-    return np.concatenate([
-        off + draw_indices(d.cumulative_weights(), rng, size)
-        for off, d in zip(offsets.tolist(), config.distributions)
-    ])
+def _block_distances(space: Space, b_star, trials: int, draws, estimate) -> list[float]:
+    """d(T, b*) for trials 0, ..., trials - 1, LOCKSTEP_BLOCK at a time:
+    ``estimate(idx)`` stacks the estimates of a block of trials from the
+    index matrix of their ``draws``, and their distances to b* are one
+    row-wise call."""
+    out = []
+    for start in range(0, trials, LOCKSTEP_BLOCK):
+        block = range(start, min(start + LOCKSTEP_BLOCK, trials))
+        idx = np.stack([draws(t) for t in block])
+        out += space.row_dist(estimate(idx), b_star).tolist()
+    return out
 
 
 def _setup_ground_truth(config: ExperimentConfig):
@@ -369,7 +387,7 @@ def _setup_ground_truth(config: ExperimentConfig):
     sigmas, Cs = [], []
     for d in dists:
         sigmas.append(math.sqrt(frechet_variance(space, d.as_weighted_sample(), b_star)))
-        Cs.append(max(space.dist(b_star, x) for x in d.support))
+        Cs.append(float(space.row_dist(b_star, np.array(d.support)).max()))
     return b_star, sigmas, Cs
 
 
@@ -378,11 +396,12 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     distances d(T_n, b*) against the configured bound.
 
     The boundedness center x0 is taken to be b* itself and C the largest
-    support distance from it, the choice that minimizes C.  A trial whose
-    barycenter solve fails aborts the run with the trial index.  Inductive
-    trials on the smooth spaces advance in lockstep, LOCKSTEP_BLOCK at a
-    time, each from its own draws; metric trees and the empirical estimator
-    solve trial by trial.
+    support distance from it, the choice that minimizes C.  Each trial
+    draws from its own stream.  Inductive trials advance in lockstep,
+    LOCKSTEP_BLOCK at a time; each empirical trial is one
+    :func:`~npcbary.barycenter.empirical_barycenter` solve over the
+    support's own objects, and a trial whose solve fails aborts the run with
+    the trial index.
     """
     t0 = time.perf_counter()
     space = config.space
@@ -394,29 +413,23 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
 
     bound_value = _resolve_bound(config, sigma, C, sigmas, Cs)
 
-    offsets = np.cumsum([0] + [len(d.support) for d in dists[:-1]])
     atoms = [x for d in dists for x in d.support]
-    distances = []
-    if config.estimator == "inductive" and not isinstance(space, MetricTree):
-        # smooth spaces: the trials of a block advance in lockstep
-        support = np.stack(atoms)
-        for start in range(0, config.trials, LOCKSTEP_BLOCK):
-            trials = range(start, min(start + LOCKSTEP_BLOCK, config.trials))
-            idx = np.stack([_trial_indices(config, offsets, t) for t in trials])
-            distances += [space.dist(t_n, b_star) for t_n in inductive_rows(space, support, idx)]
+    draws = _trial_draws(config)
+    if config.estimator == "inductive":
+        support = np.array(atoms)
+        distances = _block_distances(space, b_star, config.trials, draws,
+                                     lambda idx: inductive_rows(space, support, idx))
     else:
         trial_tol = config.tol
         if trial_tol is None:
             trial_tol = TRIAL_TOL_REL * (1.0 + D)
-        estimate = _trial_estimator(config, trial_tol)
         # the draws index an object array, which hands back the support's own
         # objects for empirical_barycenter to count by identity
-        support = np.empty(len(atoms), dtype=object)
-        for i, x in enumerate(atoms):
-            support[i] = x
+        support = np.fromiter(atoms, dtype=object, count=len(atoms))
+        distances = []
         for t in range(config.trials):
             try:
-                t_n = estimate(support[_trial_indices(config, offsets, t)].tolist())
+                t_n = empirical_barycenter(space, support[draws(t)].tolist(), tol=trial_tol).point
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"trial {t}: {exc}", exc.point, exc.displacement, exc.iterations
@@ -526,7 +539,7 @@ def verify_subgaussian_witness(
     """
     space = dist.space
     dist.space.check_point(x0)
-    atom_f = np.array([space.dist(x, x0) for x in dist.support])
+    atom_f = space.row_dist(np.array(dist.support), x0)
     C = float(atom_f.max())
     weights = np.array([float(w) for w in dist.as_weighted_sample().resolved_weights()])
     mean_f = float(weights @ atom_f)
@@ -583,7 +596,8 @@ def run_pac(
 ) -> PacReport:
     """Stochastic barycenter computation: per trial, draw m uniform indices,
     run the inductive recursion on the subsample, and count a success when
-    the result lands within eps_target of the full-set barycenter."""
+    the result lands within eps_target of the full-set barycenter.  The
+    trials advance in lockstep, LOCKSTEP_BLOCK at a time."""
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
@@ -599,14 +613,11 @@ def run_pac(
     else:
         m = bounds.pac_sample_size(D, eps_target, delta, c_pac)
 
-    successes = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        idx = rng.integers(0, n, size=m)
-        sub = [points[i] for i in idx]
-        b_m = inductive_barycenter(space, sub)
-        if space.dist(b_m, b_star) <= eps_target:
-            successes += 1
+    support = np.array(points)
+    distances = _block_distances(space, b_star, trials,
+                                 lambda t: trial_rng(seed, t).integers(0, n, size=m),
+                                 lambda idx: inductive_rows(space, support, idx))
+    successes = sum(d <= eps_target for d in distances)
     freq = successes / trials
     return PacReport(
         m=m,
@@ -662,10 +673,11 @@ def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
 def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence, scale: float = 0.3) -> list:
     """Move each point a random fraction of the way toward a fresh random
     point; perturbation sizes vary per coordinate."""
-    return [
-        space.geodesic_point(x, random_point(space, rng), rng.uniform(0.0, scale))
-        for x in xs
-    ]
+    targets, ts = [], []
+    for _ in xs:  # per point: its target, then its fraction
+        targets.append(random_point(space, rng))
+        ts.append(rng.uniform(0.0, scale))
+    return list(space.row_geodesic(np.array(xs), np.array(targets), np.array(ts)))
 
 
 @dataclass
@@ -716,11 +728,17 @@ def npc_midpoint_excess(space: Space, x, y, z) -> tuple[float, float]:
     """Signed violation of the midpoint inequality
     d(z,m)^2 <= (d(z,x)^2 + d(z,y)^2)/2 - d(x,y)^2/4 at m the geodesic
     midpoint, plus the squared scale of the triple for tolerance scaling."""
-    m = space.geodesic_point(x, y, 0.5)
-    dzx = space.dist(z, x)
-    dzy = space.dist(z, y)
-    dxy = space.dist(x, y)
-    lhs = space.dist(z, m) ** 2
+    excess, sq_scale = _midpoint_excess_rows(space, *(np.asarray(p)[None] for p in (x, y, z)))
+    return float(excess[0]), float(sq_scale[0])
+
+
+def _midpoint_excess_rows(space: Space, xs, ys, zs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`npc_midpoint_excess` of each row of three stacks of points."""
+    m = space.row_geodesic(xs, ys, 0.5)
+    dzx = space.row_dist(zs, xs)
+    dzy = space.row_dist(zs, ys)
+    dxy = space.row_dist(xs, ys)
+    lhs = space.row_dist(zs, m) ** 2
     rhs = 0.5 * (dzx**2 + dzy**2) - 0.25 * dxy**2
     return lhs - rhs, dzx**2 + dzy**2 + dxy**2
 
@@ -749,23 +767,26 @@ def npc_property_suite(
     rng = np.random.default_rng(seed)
     to_json = space.payload_to_json
 
+    # the instances are drawn in the order of a per-instance loop, then
+    # checked by row-wise calls over their stacks
     midpoint = PropertyCheck("midpoint_inequality", samples)
-    for _ in range(samples):
-        x, y, z = (random_point(space, rng) for _ in range(3))
-        excess, sq_scale = npc_midpoint_excess(space, x, y, z)
-        midpoint.record(excess, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
-                                         "excess": excess},
-                        slack=1e-8 * (1.0 + sq_scale))
+    X, Y, Z = map(np.array, zip(*([random_point(space, rng) for _ in range(3)]
+                                  for _ in range(samples))))
+    excess, sq_scale = _midpoint_excess_rows(space, X, Y, Z)
+    for x, y, z, e, sq in zip(X, Y, Z, excess.tolist(), sq_scale.tolist()):
+        midpoint.record(e, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
+                                    "excess": e},
+                        slack=1e-8 * (1.0 + sq))
 
     speed = PropertyCheck("constant_speed", samples)
-    for _ in range(samples):
-        x, y = random_point(space, rng), random_point(space, rng)
-        s, t = rng.uniform(), rng.uniform()
-        d = space.dist(x, y)
-        err = abs(space.dist(space.geodesic_point(x, y, s), space.geodesic_point(x, y, t))
-                  - abs(s - t) * d)
-        speed.record(err - 1e-8 * (1.0 + d),
-                     lambda: {"x": to_json(x), "y": to_json(y), "s": s, "t": t, "error": err})
+    X, Y, S, T = map(np.array, zip(*((random_point(space, rng), random_point(space, rng),
+                                      rng.uniform(), rng.uniform()) for _ in range(samples))))
+    d = space.row_dist(X, Y)
+    err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
+                 - np.abs(S - T) * d)
+    for x, y, s, t, e, dxy in zip(X, Y, S.tolist(), T.tolist(), err.tolist(), d.tolist()):
+        speed.record(e - 1e-8 * (1.0 + dxy),
+                     lambda: {"x": to_json(x), "y": to_json(y), "s": s, "t": t, "error": e})
     checks = [midpoint, speed]
 
     for estimator in ("inductive", "empirical"):

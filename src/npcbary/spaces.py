@@ -48,7 +48,14 @@ class AntipodalError(SpaceError):
     """Antipodal sphere pair: the connecting geodesic is not unique."""
 
 
-def _check_t(t: float) -> float:
+def _check_t(t):
+    """t checked to lie in [0, 1]: a float, or for an array of one t per row
+    a column, to scale the rows of a stack.  A scalar t takes a plain-float
+    path, which per-step callers such as the inductive recursion pay."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise SpaceError(f"geodesic parameter outside [0, 1] in {t}")
+        return t[:, None]
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise SpaceError(f"geodesic parameter t={t} outside [0, 1]")
@@ -68,26 +75,43 @@ def _over(theta: np.ndarray, fn) -> np.ndarray:
 
 class Space:
     """Common interface of all concrete spaces.  The defaults serve the array
-    spaces, whose points are float arrays of shape ``point_shape``."""
+    spaces, whose points are float arrays of shape ``point_shape``.
+
+    Each space writes its distance and geodesic once, over rows: ``row_dist``
+    and ``row_geodesic`` act on stacks of points along a leading axis, and
+    ``dist`` and ``geodesic_point`` are their one-row case.  Metric trees
+    write the scalar calls, and their row forms loop over them.
+    """
 
     kind: str = ""
 
+    def __init_subclass__(cls, **kwargs):
+        # every space holds dist and geodesic_point in its own namespace, so
+        # that a per-class wrapper reading vars(cls), such as a tracer, finds them
+        super().__init_subclass__(**kwargs)
+        for name in ("dist", "geodesic_point"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(Space, name))
+
     def dist(self, x, y) -> float:
-        raise NotImplementedError
+        """d(x, y), the one-row case of ``row_dist``."""
+        return float(self.row_dist(x[None], y[None])[0])
 
     def geodesic_point(self, x, y, t: float):
-        """Point gamma_{x,y}(t) on the constant-speed geodesic from x to y."""
-        raise NotImplementedError
+        """Point gamma_{x,y}(t) on the constant-speed geodesic from x to y,
+        the one-row case of ``row_geodesic``."""
+        return self.row_geodesic(x[None], y[None], t)[0]
 
-    # Row-wise forms of the smooth spaces: row i of the result is the scalar
-    # operation on row i of each stack (leading axis of pairs) ---------------
+    # Row-wise forms: row i of the result is the operation on row i of each
+    # stack; either stack may be one point instead, standing for every row --
 
     def row_dist(self, xs, ys) -> np.ndarray:
         """d(xs[i], ys[i]) for each row i of two stacks of points."""
         raise NotImplementedError
 
-    def row_geodesic(self, xs, ys, t: float) -> np.ndarray:
-        """gamma_{xs[i], ys[i]}(t) for each row i, one t for every row."""
+    def row_geodesic(self, xs, ys, t) -> np.ndarray:
+        """gamma_{xs[i], ys[i]}(t) for each row i: one float t for every row,
+        or an array of one t per row."""
         raise NotImplementedError
 
     # Riemannian maps of the smooth spaces (metric trees have none) ----------
@@ -162,23 +186,16 @@ class Euclidean(Space):
     def point_shape(self) -> tuple:
         return (self.dim,)
 
-    def dist(self, x, y) -> float:
-        d = x - y
-        return math.sqrt(float(d @ d))
-
-    def geodesic_point(self, x, y, t):
-        t = _check_t(t)
-        return (1.0 - t) * x + t * y
-
     def row_dist(self, xs, ys):
         d = xs - ys
         return np.sqrt(np.einsum("ij,ij->i", d, d))
 
-    row_geodesic = geodesic_point
+    def row_geodesic(self, xs, ys, t):
+        t = _check_t(t)
+        return (1.0 - t) * xs + t * ys
 
     def log(self, x, ys):
-        vs = ys - x
-        return vs, np.sqrt(np.einsum("ij,ij->i", vs, vs))
+        return ys - x, self.row_dist(ys, x)
 
     def exp(self, x, v):
         return x + v
@@ -190,11 +207,6 @@ class Euclidean(Space):
 # ---------------------------------------------------------------------------
 # Hyperbolic (hyperboloid model)
 # ---------------------------------------------------------------------------
-
-
-def _mink(x: np.ndarray, y: np.ndarray) -> float:
-    """Minkowski form x1*y1 + ... + xd*yd - x_{d+1}*y_{d+1}."""
-    return float(x @ y) - 2.0 * float(x[-1]) * float(y[-1])
 
 
 def _mink_rows(d: np.ndarray) -> np.ndarray:
@@ -232,57 +244,33 @@ class Hyperbolic(Space):
         x[-1] = 1.0 / math.sqrt(-self.kappa)
         return x
 
-    def dist(self, x, y) -> float:
-        # arcsinh of the half Minkowski chord: equal to
-        # arccosh(kappa*<x,y>_M)/sqrt(-kappa) but accurate for nearby points,
-        # where the arccosh form loses half the significand to cancellation
-        d = x - y
-        q = float(d @ d) - 2.0 * float(d[-1]) * float(d[-1])
-        if q <= 0.0:
-            return 0.0
-        return 2.0 * math.asinh(0.5 * math.sqrt(-self.kappa * q)) / math.sqrt(-self.kappa)
-
-    def geodesic_point(self, x, y, t):
-        t = _check_t(t)
-        sk = math.sqrt(-self.kappa)
-        d = self.dist(x, y)
-        s = d * sk
-        if s < 1e-14:
-            return x.copy()
-        ch, sh = math.cosh(s), math.sinh(s)
-        u = (y - ch * x) / sh
-        out = math.cosh(t * s) * x + math.sinh(t * s) * u
-        # re-project onto the sheet: <out,out>_M should equal 1/kappa
-        q = self.kappa * _mink(out, out)
-        if q > 0:
-            out /= math.sqrt(q)
-        return out
+    def _rapidity(self, xs, ys):
+        """Per row, the rapidity theta = d * sqrt(-kappa), with y - x and the
+        Minkowski chord q = <y - x, y - x>_M.  theta = 2 arcsinh of the half
+        chord equals arccosh(kappa <x,y>_M) but stays accurate for nearby
+        points, where arccosh loses half the significand to cancellation."""
+        d = ys - xs
+        q = np.maximum(_mink_rows(d), 0.0)
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q)), d, q
 
     def row_dist(self, xs, ys):
-        q = np.maximum(_mink_rows(xs - ys), 0.0)
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q)) / math.sqrt(-self.kappa)
+        return self._rapidity(xs, ys)[0] / math.sqrt(-self.kappa)
 
     def row_geodesic(self, xs, ys, t):
-        # geodesic_point's formula, row by row; a row whose rapidity is below
-        # 1e-14 stays at its x
+        # a row whose rapidity s is below 1e-14 stays at its x
         t = _check_t(t)
-        s = self.row_dist(xs, ys) * math.sqrt(-self.kappa)
+        s = self._rapidity(xs, ys)[0][:, None]
         moves = s >= 1e-14
-        sh = np.where(moves, np.sinh(s), 1.0)
-        u = (ys - np.cosh(s)[:, None] * xs) / sh[:, None]
-        out = np.cosh(t * s)[:, None] * xs + np.sinh(t * s)[:, None] * u
+        u = (ys - np.cosh(s) * xs) / np.where(moves, np.sinh(s), 1.0)
+        out = np.cosh(t * s) * xs + np.sinh(t * s) * u
         q = self.kappa * _mink_rows(out)
         out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
-        return np.where(moves[:, None], out, xs)
+        return np.where(moves, out, xs)
 
     def log(self, x, ys):
-        # the rapidity theta = d * sqrt(-kappa) from the Minkowski chord q, as
-        # in dist; y - cosh(theta) x is formed as (y - x) + (kappa q / 2) x,
-        # since cosh(theta) - 1 = -kappa q / 2, free of cancellation for
-        # nearby pairs
-        d = ys - x
-        q = np.maximum(_mink_rows(d), 0.0)
-        theta = 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q))
+        # y - cosh(theta) x is formed as (y - x) + (kappa q / 2) x, since
+        # cosh(theta) - 1 = -kappa q / 2, free of cancellation for nearby pairs
+        theta, d, q = self._rapidity(x, ys)
         u = d + (0.5 * self.kappa * q)[:, None] * x
         return _over(theta, np.sinh)[:, None] * u, theta / math.sqrt(-self.kappa)
 
@@ -291,7 +279,7 @@ class Hyperbolic(Space):
         if theta == 0.0:
             return x.copy()
         out = math.cosh(theta) * x + (math.sinh(theta) / theta) * v
-        q = self.kappa * _mink(out, out)
+        q = self.kappa * float(_mink_rows(out[None])[0])
         if q > 0:
             out /= math.sqrt(q)
         return out
@@ -320,7 +308,7 @@ class Hyperbolic(Space):
     def _constraint_violation(self, q):
         if q[-1] <= 0:
             return f"last coordinate must be > 0 (upper sheet), got {q[-1]}"
-        m = self.kappa * _mink(q, q)
+        m = self.kappa * float(_mink_rows(q[None])[0])
         scale = max(1.0, abs(self.kappa) * float(q @ q))
         if abs(m - 1.0) > REL_POINT_TOL * scale:
             return f"not on the hyperboloid sheet: kappa*<x,x>_M = {m}, expected 1"
@@ -365,36 +353,6 @@ class Sphere(Space):
         x[0] = self.radius
         return x
 
-    def dist(self, x, y) -> float:
-        # arcsin of the half chord on the near side, complement of it past a
-        # quarter turn: matches arccos(kappa x.y)/sqrt(kappa) but stays
-        # accurate for nearby and near-antipodal pairs
-        sk = math.sqrt(self.kappa)
-        if self.kappa * float(x @ y) >= 0.0:
-            d = x - y
-            half = 0.5 * sk * math.sqrt(float(d @ d))
-            return 2.0 * math.asin(min(1.0, half)) / sk
-        s = x + y
-        half = 0.5 * sk * math.sqrt(float(s @ s))
-        return (math.pi - 2.0 * math.asin(min(1.0, half))) / sk
-
-    def geodesic_point(self, x, y, t):
-        t = _check_t(t)
-        sk = math.sqrt(self.kappa)
-        omega = self.dist(x, y) * sk  # angle subtended at the center
-        if omega < 1e-14:
-            return x.copy()
-        if omega >= math.pi * (1.0 - 1e-9):
-            raise AntipodalError(
-                "antipodal sphere points: the connecting geodesic is not unique"
-            )
-        so = math.sin(omega)
-        out = (math.sin((1.0 - t) * omega) * x + math.sin(t * omega) * y) / so
-        nrm = math.sqrt(float(out @ out))
-        if nrm > 0:
-            out *= self.radius / nrm
-        return out
-
     @staticmethod
     def _angles(xs, ys):
         """Per row, the angle theta = d * sqrt(kappa) at the center, twice the
@@ -410,21 +368,21 @@ class Sphere(Space):
         return self._angles(xs, ys)[0] / math.sqrt(self.kappa)
 
     def row_geodesic(self, xs, ys, t):
-        # geodesic_point's formula, row by row; a row whose angle is below
-        # 1e-14 stays at its x
+        # gamma(t) = (sin((1 - t) omega) x + sin(t omega) y) / sin(omega),
+        # omega the angle at the center, rescaled onto the sphere; a row whose
+        # angle is below 1e-14 stays at its x
         t = _check_t(t)
-        omega = self._angles(xs, ys)[0]
+        omega = self._angles(xs, ys)[0][:, None]
         if omega.max() >= math.pi * (1.0 - 1e-9):
             raise AntipodalError(
                 "antipodal sphere points: the connecting geodesic is not unique"
             )
         moves = omega >= 1e-14
-        so = np.where(moves, np.sin(omega), 1.0)
-        out = np.sin((1.0 - t) * omega)[:, None] * xs + np.sin(t * omega)[:, None] * ys
-        out /= so[:, None]
-        nrm = np.sqrt(np.einsum("ij,ij->i", out, out))
-        out *= (self.radius / np.where(moves, nrm, 1.0))[:, None]
-        return np.where(moves[:, None], out, xs)
+        out = np.sin((1.0 - t) * omega) * xs + np.sin(t * omega) * ys
+        out /= np.where(moves, np.sin(omega), 1.0)
+        nrm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+        out *= self.radius / np.where(moves, nrm, 1.0)
+        return np.where(moves, out, xs)
 
     def log(self, x, ys):
         # y - cos(theta) x is formed as (y - x) + (kappa |y - x|^2 / 2) x,
@@ -515,9 +473,8 @@ class SpdAffine(Space):
 
     The geodesic from A to B is the weighted geometric mean
     A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, computed as
-    C (C^{-1} B C^{-T})^t C^T for any A = C C^T.  Each formula is written
-    once, over stacks (..., p, p): ``dist`` and ``geodesic_point`` are the
-    unbatched case of ``row_dist`` and ``row_geodesic``.
+    C (C^{-1} B C^{-T})^t C^T for any A = C C^T.  Every map is written over
+    stacks (..., p, p) with one eigendecomposition per matrix.
     """
 
     p: int
@@ -531,12 +488,6 @@ class SpdAffine(Space):
     @property
     def point_shape(self) -> tuple:
         return (self.p, self.p)
-
-    def dist(self, x, y) -> float:
-        return float(self.row_dist(x, y))
-
-    def geodesic_point(self, x, y, t):
-        return self.row_geodesic(x, y, t)
 
     def row_dist(self, xs, ys):
         _, F = _factor(xs)
@@ -599,6 +550,11 @@ class TreePoint:
 
 def _edge_key(u, v):
     return (u, v) if u <= v else (v, u)
+
+
+def _object_rows(*cols) -> list[list]:
+    """Row arguments (stacks, or one value for every row) as equal lists."""
+    return [c.tolist() for c in np.broadcast_arrays(*(np.asarray(c, dtype=object) for c in cols))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -814,6 +770,18 @@ class MetricTree(Space):
         off = rem if ay == self._elow[y.edge] else self._elen[y.edge] - rem
         return self.edge_point(y.edge, off)
 
+    # the row forms loop over the scalar calls on sequences of tree points
+
+    def row_dist(self, xs, ys):
+        xs, ys = _object_rows(xs, ys)
+        return np.array([self.dist(x, y) for x, y in zip(xs, ys)], dtype=float)
+
+    def row_geodesic(self, xs, ys, t):
+        # each scalar call checks its own t
+        xs, ys, ts = _object_rows(xs, ys, t)
+        return np.array([self.geodesic_point(x, y, s) for x, y, s in zip(xs, ys, ts)],
+                        dtype=object)
+
     def frechet_mean(self, points: Sequence, weights: Sequence[float]) -> TreePoint:
         """Exact minimizer of sum_i w_i d(x_i, .)^2 (Bacak 2014; Sturm 2003).
 
@@ -895,7 +863,7 @@ def product_l1_dist(space: Space, xs: Sequence, ys: Sequence) -> float:
     """L1 product metric on tuples: sum of coordinatewise distances."""
     if len(xs) != len(ys):
         raise SpaceError(f"tuple length mismatch: {len(xs)} vs {len(ys)}")
-    return sum(space.dist(x, y) for x, y in zip(xs, ys))
+    return sum(space.row_dist(np.array(xs), np.array(ys)).tolist())
 
 
 _KINDS = {

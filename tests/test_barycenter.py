@@ -244,6 +244,22 @@ def test_equal_arrays_collapse():
     assert np.max(np.abs(res.point - np.array([0.8, 0.2]))) <= 1e-12
 
 
+@pytest.mark.parametrize("space", SMOOTH_SPACES, ids=lambda s: s.kind)
+def test_shared_objects_and_equal_copies_solve_alike(space, rng):
+    # repeated objects are counted by identity, copies by value: the atoms,
+    # their order and so the result are the same either way
+    atoms = random_tuple(space, rng, 3)
+    shared = [atoms[i] for i in rng.integers(0, 3, size=40)]
+    copies = [np.array(x) for x in shared]
+    mixed = [x if k % 3 else np.array(x) for k, x in enumerate(shared)]
+    tol = 1e-6 * (1.0 + sample_diameter(space, atoms))
+    ref = empirical_barycenter(space, shared, tol=tol)
+    for pts in (copies, mixed):
+        res = empirical_barycenter(space, pts, tol=tol)
+        assert np.array_equal(res.point, ref.point)
+        assert (res.iterations, res.objective) == (ref.iterations, ref.objective)
+
+
 def test_criterion_13_instance_takes_three_steps():
     dist = sphere_cap_distribution()
     idx = draw_indices(dist.cumulative_weights(), trial_rng(0, 0), 10_000)

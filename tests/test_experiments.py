@@ -12,7 +12,7 @@ from npcbary import (
     DistributionSpec,
     Euclidean,
     ExperimentConfig,
-    MetricTree,
+    Hyperbolic,
     SpaceError,
     Sphere,
     npc_property_suite,
@@ -23,8 +23,14 @@ from npcbary import (
     verify_sturm_lln,
     verify_subgaussian_witness,
 )
-from npcbary import bounds, inductive_barycenter
-from npcbary.experiments import LOCKSTEP_BLOCK, draw_indices, trial_rng
+from npcbary import bounds, empirical_barycenter, inductive_barycenter
+from npcbary.experiments import (
+    LOCKSTEP_BLOCK,
+    TRIAL_TOL_REL,
+    draw_indices,
+    random_point,
+    trial_rng,
+)
 from npcbary.presets import (
     PRESETS,
     bernstein_config,
@@ -236,33 +242,60 @@ def test_noniid_identical_matches_iid():
     assert a.distances == b.distances
 
 
+def per_trial_draws(cfg, t):
+    """Trial t's points, drawn one distribution at a time by draw_indices."""
+    rng = trial_rng(cfg.seed, t)
+    size = cfg.n if cfg.iid else 1
+    return [d.support[i] for d in cfg.distributions
+            for i in draw_indices(d.cumulative_weights(), rng, size)]
+
+
 def per_trial_inductive(cfg):
     """d(T_n, b*) per trial from the scalar recursion over each trial's draws."""
     b_star = population_barycenter(cfg.distributions[0])
-    size = cfg.n if cfg.iid else 1
-    out = []
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        pts = [d.support[i] for d in cfg.distributions
-               for i in draw_indices(d.cumulative_weights(), rng, size)]
-        out.append(cfg.space.dist(inductive_barycenter(cfg.space, pts), b_star))
-    return np.array(out)
+    return np.array([cfg.space.dist(inductive_barycenter(cfg.space, per_trial_draws(cfg, t)),
+                                    b_star) for t in range(cfg.trials)])
 
 
-SMOOTH_INDUCTIVE_PRESETS = sorted(
-    name for name in PRESETS
-    if preset_config(name).estimator == "inductive"
-    and not isinstance(preset_config(name).space, MetricTree)
-)
+def presets_for(estimator):
+    return sorted(name for name in PRESETS if preset_config(name).estimator == estimator)
 
 
-@pytest.mark.parametrize("name", SMOOTH_INDUCTIVE_PRESETS)
+@pytest.mark.parametrize("name", presets_for("inductive"))
 def test_lockstep_trials_match_the_per_trial_recursion(name):
     cfg = preset_config(name)
     cfg.trials = 50
     rep = run_concentration(cfg)
     gap = np.abs(np.array(rep.distances) - per_trial_inductive(cfg))
     assert gap.max() <= 1e-10 * (1.0 + rep.D)
+
+
+def per_trial_empirical(cfg, D):
+    """d(T_n, b*) per trial from empirical_barycenter on each trial's draws."""
+    b_star = population_barycenter(cfg.distributions[0])
+    tol = cfg.tol if cfg.tol is not None else TRIAL_TOL_REL * (1.0 + D)
+    return [cfg.space.dist(empirical_barycenter(cfg.space, per_trial_draws(cfg, t), tol=tol).point,
+                           b_star) for t in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("name", presets_for("empirical"))
+def test_empirical_trials_match_the_per_trial_solve(name):
+    cfg = preset_config(name)
+    cfg.trials = 40
+    rep = run_concentration(cfg)
+    assert rep.distances == per_trial_empirical(cfg, rep.D)
+
+
+def test_empirical_trials_merge_support_points_equal_by_value():
+    # the third support point repeats the first by value, in a new array
+    space = Hyperbolic(-1.0)
+    rng = np.random.default_rng(3)
+    a, b = random_point(space, rng), random_point(space, rng)
+    dist = DistributionSpec(space, [a, b, a.copy()], weights=["1/4", "1/2", "1/4"])
+    cfg = ExperimentConfig(distributions=[dist], n=12, estimator="empirical",
+                           trials=30, delta=0.1, seed=4)
+    rep = run_concentration(cfg)
+    assert rep.distances == per_trial_empirical(cfg, rep.D)
 
 
 def test_lockstep_blocks_cover_every_trial():
@@ -436,6 +469,20 @@ def test_pac_rademacher_instance():
     rep = run_pac(space, pts, 0.5, 0.1, 120, seed=0)
     assert rep.m == 37
     assert rep.frequency >= 0.9
+
+
+def test_pac_trials_match_the_per_trial_recursion():
+    space = Hyperbolic(-1.0)
+    rng = np.random.default_rng(8)
+    pts = [random_point(space, rng) for _ in range(6)]
+    # a small c_pac keeps m small, so that some trials miss
+    rep = run_pac(space, pts, 0.3, 0.2, LOCKSTEP_BLOCK + 5, seed=2, c_pac=0.05)
+    b_star = empirical_barycenter(space, pts, tol=1e-9 * (1.0 + rep.D)).point
+    hits = 0
+    for t in range(rep.trials):
+        sub = [pts[i] for i in trial_rng(2, t).integers(0, len(pts), size=rep.m)]
+        hits += space.dist(inductive_barycenter(space, sub), b_star) <= 0.3
+    assert 0 < rep.successes == hits < rep.trials
 
 
 def test_pac_eps_at_least_diameter():
