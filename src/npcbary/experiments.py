@@ -13,7 +13,9 @@ Trials hold their draws as indices into the stacked support: inductive
 trials advance in lockstep through row-wise geodesics, and an empirical trial
 hands the support's own objects to the solver, which counts them by identity
 into weighted atoms.  Ground truth and the property suite make row-wise
-calls over stacks, not pair loops.
+calls over stacks, not pair loops.  Random instances draw their variates
+point by point, in the order of a per-point loop, and are placed on the space
+a block at a time; a single random point is the one-row block.
 """
 
 from __future__ import annotations
@@ -640,44 +642,67 @@ def run_pac(
 # ---------------------------------------------------------------------------
 
 
-def random_point(space: Space, rng: np.random.Generator):
-    """A bounded, well-conditioned random point of the given space."""
+def _draw(space: Space, rng: np.random.Generator) -> tuple:
+    """The raw variates of one random point, drawn from ``rng`` in the order
+    the point needs them; :func:`_place` puts them on the space."""
     if isinstance(space, Euclidean):
-        return rng.standard_normal(space.dim)
+        return (rng.standard_normal(space.dim),)
     if isinstance(space, SpdAffine):
-        S = sym_part(rng.uniform(-1.0, 1.0, (space.p, space.p)))
-        return spd_exp(S)
-    if isinstance(space, Hyperbolic):
+        return (rng.uniform(-1.0, 1.0, (space.p, space.p)),)
+    if isinstance(space, (Hyperbolic, Sphere)):
         v = rng.standard_normal(space.dim)
         nrm = math.sqrt(float(v @ v))
         if nrm == 0.0:
-            return space.base_point()
-        return space.exp_from_base(v / nrm, rng.uniform(0.0, 2.0))
-    if isinstance(space, Sphere):
-        v = rng.standard_normal(space.dim)
-        nrm = math.sqrt(float(v @ v))
-        if nrm == 0.0:
-            return space.base_point()
-        cap = math.pi / (4.0 * math.sqrt(space.kappa))
-        return space.exp_from_base(v / nrm, rng.uniform(0.0, cap))
+            return v, 0.0  # the zero direction: the base point
+        cap = 2.0 if isinstance(space, Hyperbolic) else math.pi / (4.0 * math.sqrt(space.kappa))
+        return v / nrm, rng.uniform(0.0, cap)
     if isinstance(space, MetricTree):
         eid = int(rng.integers(len(space.edges)))
-        return space.edge_point(eid, float(rng.uniform(0.0, space.edges[eid][2])))
+        return eid, float(rng.uniform(0.0, space.edges[eid][2]))
     raise SpaceError(f"no random generator for space kind {space.kind!r}")
 
 
+def _place(space: Space, draws: Sequence[tuple]) -> np.ndarray:
+    """The stack of points that the raw variates ``draws`` of :func:`_draw`
+    stand for, placed on the space with one stacked call: the normals
+    themselves, one SPD exponential, one exp from the base point, or on a
+    tree one edge point per row."""
+    if isinstance(space, MetricTree):
+        return np.array([space.edge_point(eid, off) for eid, off in draws], dtype=object)
+    first = np.array([d[0] for d in draws])
+    if isinstance(space, Euclidean):
+        return first
+    if isinstance(space, SpdAffine):
+        return spd_exp(sym_part(first))
+    return space.row_exp_from_base(first, np.array([d[1] for d in draws]))
+
+
+def random_points(space: Space, rng: np.random.Generator, k: int) -> np.ndarray:
+    """A stack of k bounded, well-conditioned random points of the given
+    space: their raw variates are drawn point by point, and the block is
+    placed on the space at once."""
+    return _place(space, [_draw(space, rng) for _ in range(k)])
+
+
+def random_point(space: Space, rng: np.random.Generator):
+    """A bounded, well-conditioned random point of the given space, the
+    one-row case of :func:`random_points`: k successive calls give the k
+    points of one ``random_points`` call on an equal generator."""
+    return random_points(space, rng, 1)[0]
+
+
 def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
-    return [random_point(space, rng) for _ in range(n)]
+    return list(random_points(space, rng, n))
 
 
 def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence, scale: float = 0.3) -> list:
     """Move each point a random fraction of the way toward a fresh random
     point; perturbation sizes vary per coordinate."""
     targets, ts = [], []
-    for _ in xs:  # per point: its target, then its fraction
-        targets.append(random_point(space, rng))
+    for _ in xs:  # per point: its target's variates, then its fraction
+        targets.append(_draw(space, rng))
         ts.append(rng.uniform(0.0, scale))
-    return list(space.row_geodesic(np.array(xs), np.array(targets), np.array(ts)))
+    return list(space.row_geodesic(np.array(xs), _place(space, targets), np.array(ts)))
 
 
 @dataclass
@@ -767,11 +792,11 @@ def npc_property_suite(
     rng = np.random.default_rng(seed)
     to_json = space.payload_to_json
 
-    # the instances are drawn in the order of a per-instance loop, then
-    # checked by row-wise calls over their stacks
+    # the instances' variates are drawn in the order of a per-instance loop,
+    # placed on the space a block at a time, and checked by row-wise calls
     midpoint = PropertyCheck("midpoint_inequality", samples)
-    X, Y, Z = map(np.array, zip(*([random_point(space, rng) for _ in range(3)]
-                                  for _ in range(samples))))
+    P = random_points(space, rng, 3 * samples)
+    X, Y, Z = P[0::3], P[1::3], P[2::3]
     excess, sq_scale = _midpoint_excess_rows(space, X, Y, Z)
     for x, y, z, e, sq in zip(X, Y, Z, excess.tolist(), sq_scale.tolist()):
         midpoint.record(e, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
@@ -779,8 +804,9 @@ def npc_property_suite(
                         slack=1e-8 * (1.0 + sq))
 
     speed = PropertyCheck("constant_speed", samples)
-    X, Y, S, T = map(np.array, zip(*((random_point(space, rng), random_point(space, rng),
-                                      rng.uniform(), rng.uniform()) for _ in range(samples))))
+    DX, DY, S, T = zip(*((_draw(space, rng), _draw(space, rng), rng.uniform(), rng.uniform())
+                         for _ in range(samples)))
+    X, Y, S, T = _place(space, DX), _place(space, DY), np.array(S), np.array(T)
     d = space.row_dist(X, Y)
     err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
                  - np.abs(S - T) * d)

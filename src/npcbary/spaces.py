@@ -129,6 +129,18 @@ class Space:
         """Riemannian norm of the tangent vector v at x."""
         raise NotImplementedError
 
+    def exp_from_base(self, direction, radius: float) -> np.ndarray:
+        """Point at metric distance ``radius`` from the base point along the
+        tangent direction of a Euclidean unit vector of length dim, the
+        one-row case of ``row_exp_from_base``."""
+        return self.row_exp_from_base(np.asarray(direction, dtype=float)[None],
+                                      np.array([float(radius)]))[0]
+
+    def row_exp_from_base(self, directions, radii) -> np.ndarray:
+        """exp_from_base of each row of a (k, dim) stack of directions, with
+        one radius per row (the hyperboloid and the sphere)."""
+        raise NotImplementedError
+
     def validate_point(self, p) -> str | None:
         """Return None if ``p`` is a valid point, else a diagnostic string."""
         try:
@@ -298,12 +310,18 @@ class Hyperbolic(Space):
         pp = sum((d - a * c) ** 2 for c, d in zip(xs, vs))
         return math.sqrt(a * a * xx / (-self.kappa * xt * xt) + pp)
 
-    def exp_from_base(self, direction: np.ndarray, radius: float) -> np.ndarray:
-        """Point at metric distance ``radius`` from the base point, in the
-        tangent direction given by a Euclidean unit vector of length dim."""
-        v = np.zeros(self.point_shape)
-        v[:-1] = radius * np.asarray(direction, dtype=float)
-        return self.exp(self.base_point(), v)
+    def row_exp_from_base(self, directions, radii):
+        # exp at the base point x: cosh(theta) x + (sinh(theta) / theta) v,
+        # re-projected onto the sheet; a zero tangent v stays at x
+        x = self.base_point()
+        v = np.zeros((len(radii), self.dim + 1))
+        v[:, :-1] = radii[:, None] * directions
+        theta = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None] * math.sqrt(-self.kappa)
+        moves = theta > 0.0
+        out = np.cosh(theta) * x + np.sinh(theta) / np.where(moves, theta, 1.0) * v
+        q = self.kappa * _mink_rows(out)
+        out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
+        return np.where(moves, out, x)
 
     def _constraint_violation(self, q):
         if q[-1] <= 0:
@@ -404,12 +422,18 @@ class Sphere(Space):
     def tangent_norm(self, x, v) -> float:
         return math.sqrt(float(v @ v))
 
-    def exp_from_base(self, direction: np.ndarray, radius: float) -> np.ndarray:
-        """Walk ``radius`` along the great circle leaving the base point in the
-        tangent direction (a Euclidean unit vector orthogonal to e_1)."""
-        v = np.zeros(self.point_shape)
-        v[1:] = radius * np.asarray(direction, dtype=float)
-        return self.exp(self.base_point(), v)
+    def row_exp_from_base(self, directions, radii):
+        # walk each radius along the great circle leaving the base point x in
+        # its direction (orthogonal to e_1): cos(theta) x + (sin(theta) /
+        # theta) v, rescaled onto the sphere; a zero tangent v stays at x
+        x = self.base_point()
+        v = np.zeros((len(radii), self.dim + 1))
+        v[:, 1:] = radii[:, None] * directions
+        theta = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None] * math.sqrt(self.kappa)
+        moves = theta > 0.0
+        out = np.cos(theta) * x + np.sin(theta) / np.where(moves, theta, 1.0) * v
+        out *= self.radius / np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+        return np.where(moves, out, x)
 
     def _constraint_violation(self, q):
         nrm = math.sqrt(float(q @ q))
@@ -578,6 +602,7 @@ class MetricTree(Space):
     _elow: tuple = field(default=None, repr=False, compare=False)
     _ehigh: tuple = field(default=None, repr=False, compare=False)
     _elen: tuple = field(default=None, repr=False, compare=False)
+    _snap: tuple = field(default=None, repr=False, compare=False)
     _adj: tuple = field(default=None, repr=False, compare=False)
     _dist_table: np.ndarray = field(default=None, repr=False, compare=False)
     _parent: np.ndarray = field(default=None, repr=False, compare=False)
@@ -647,6 +672,9 @@ class MetricTree(Space):
         object.__setattr__(self, "_elow", tuple(elow))
         object.__setattr__(self, "_ehigh", tuple(ehigh))
         object.__setattr__(self, "_elen", tuple(elen))
+        # per edge, the offsets at or beyond which a point snaps to an endpoint
+        object.__setattr__(self, "_snap", tuple((1e-12 * (1.0 + ln), ln - 1e-12 * (1.0 + ln))
+                                                for ln in elen))
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_dist_table", dist_table)
         object.__setattr__(self, "_parent", parent)
@@ -680,19 +708,28 @@ class MetricTree(Space):
         slack = REL_POINT_TOL * (1.0 + ln)
         if not -slack <= offset <= ln + slack:
             raise SpaceError(f"offset {offset} outside [0, {ln}] on edge {eid}")
-        snap = 1e-12 * (1.0 + ln)
-        if offset <= snap:
+        lo, hi = self._snap[eid]
+        if offset <= lo:
             return TreePoint(vertex=self.vertices[self._elow[eid]])
-        if offset >= ln - snap:
+        if offset >= hi:
             return TreePoint(vertex=self.vertices[self._ehigh[eid]])
         return TreePoint(edge=eid, offset=offset)
 
     def _canonical(self, p: TreePoint) -> TreePoint:
+        """``p`` itself if it is canonical already: a known vertex, or an int
+        edge id with a float offset strictly inside the edge's snap margins.
+        Any other point is rebuilt by vertex_point or edge_point, which
+        validate it and snap it."""
         if not isinstance(p, TreePoint):
             raise SpaceError(f"expected a TreePoint, got {type(p).__name__}")
         if p.vertex is not None:
-            return self.vertex_point(p.vertex)
-        return self.edge_point(p.edge, p.offset)
+            return p if p.vertex in self._idx else self.vertex_point(p.vertex)
+        eid = p.edge
+        if type(eid) is int and type(p.offset) is float and 0 <= eid < len(self._snap):
+            lo, hi = self._snap[eid]
+            if lo < p.offset < hi:
+                return p
+        return self.edge_point(eid, p.offset)
 
     def _anchors(self, p: TreePoint) -> list[tuple[int, float]]:
         """(vertex index, lead-in length) pairs through which any path from
