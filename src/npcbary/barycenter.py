@@ -250,17 +250,18 @@ def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
     return min(enumerate(float(space.row_dist(x, xs).max()) for x in xs), key=lambda b: b[1])
 
 
-def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
+def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fraction],
                   tol: float | None, max_cycles: int):
-    """Frechet mean of atoms with positive integer counts m_i, weights
-    w_i = m_i / sum m.  Returns the point, the iterations, the length of the
+    """Frechet mean of atoms with positive masses m_i, int counts or exact
+    Fraction weights, weights w_i = m_i / sum m, each rounded once to a
+    float.  Returns the point, the iterations, the length of the
     last step, the error bound and the objective sum_i w_i d(x_i, point)^2,
     whose distances the last log map already holds.  A single atom, and a
     metric tree, which returns its exact weighted mean, take no iterations
     and bound 0.0.
 
     The warm start is one pass of the weighted recursion, stepping toward
-    atom i with t = m_i / W, W the running total of the counts including
+    atom i with t = m_i / W, W the running total of the masses including
     this visit; for two atoms it is the mean.  Each iteration then forms
     g = sum_i w_i log_s x_i, returns once :func:`_error_bound` certifies
     d(s, b*) <= tol, and otherwise steps s <- exp_s(alpha g), alpha from
@@ -280,11 +281,13 @@ def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
     """
     if tol is not None and not tol > 0:
         raise SpaceError("tol must be > 0")
+    if max_cycles < 0:
+        raise SpaceError(f"max_cycles must be >= 0, got {max_cycles}")
     if len(points) == 1:
         return points[0], 0, 0.0, 0.0, 0.0
     if isinstance(space, MetricTree):
-        total = sum(counts)
-        weights = [m / total for m in counts]
+        total = sum(masses)
+        weights = [float(m / total) for m in masses]
         s = space.frechet_mean(points, weights)
         return s, 0, 0.0, 0.0, sum(w * space.dist(x, s) ** 2 for x, w in zip(points, weights))
     if tol is None:
@@ -292,11 +295,11 @@ def _frechet_mean(space: Space, points: Sequence, counts: Sequence[int],
 
     geodesic = space.geodesic_point
     s = points[0]
-    total = counts[0]
-    for x, m in zip(points[1:], counts[1:]):
+    total = masses[0]
+    for x, m in zip(points[1:], masses[1:]):
         total += m
-        s = geodesic(s, x, m / total)
-    weights = np.array([m / total for m in counts])
+        s = geodesic(s, x, float(m / total))
+    weights = np.array([float(m / total) for m in masses])
     xs = np.array(points)
     ball = support_ball(space, points) if isinstance(space, Sphere) else None
     step = 0.0
@@ -363,19 +366,17 @@ def weighted_barycenter(
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> BarycenterResult:
     """Barycenter of a rationally weighted sample by :func:`_frechet_mean`,
-    with integer counts m_i = w_i * Q over the weights' least common
-    denominator Q; zero-weight atoms are skipped.  The result lies within
-    ``error_bound`` <= ``tol`` of the weighted Frechet mean.
+    which takes the exact weights as the atoms' masses; zero-weight atoms
+    are skipped.  The result lies within ``error_bound`` <= ``tol`` of the
+    weighted Frechet mean.
 
     For two points with weights (1-t, t) the result is
     ``geodesic_point(x, y, t)``, certified at the warm start.
     """
-    weights = sample.resolved_weights()
-    q = math.lcm(*(w.denominator for w in weights))
-    points, counts = zip(*(
-        (x, w.numerator * (q // w.denominator)) for x, w in zip(sample.points, weights) if w > 0
+    points, masses = zip(*(
+        (x, w) for x, w in zip(sample.points, sample.resolved_weights()) if w > 0
     ))
-    s, iterations, step, bound, objective = _frechet_mean(space, points, counts, tol, max_cycles)
+    s, iterations, step, bound, objective = _frechet_mean(space, points, masses, tol, max_cycles)
     return BarycenterResult(s, iterations, step, objective, bound)
 
 

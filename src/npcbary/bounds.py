@@ -99,8 +99,12 @@ def bernstein_radius(
     """
     sigma = _check_nonneg(sigma, "sigma")
     C = _check_nonneg(C, "C")
-    n = _check_n(n)
-    delta = _check_delta(delta)
+    return _bernstein(sigma, C, _check_n(n), _check_delta(delta), combine)
+
+
+def _bernstein(sigma: float, C: float, n: int, delta: float, combine: str) -> float:
+    """The Bernstein radius of checked arguments, shared by the i.i.d. and
+    the non-i.i.d. forms."""
     fn = _combine_fn(combine)
     log_term = math.log(1.0 / delta)
     var_term = 2.0 * sigma * math.sqrt(log_term / n)
@@ -137,8 +141,7 @@ def noniid_hoeffding_radius(
     n = _check_n(n)
     delta = _check_delta(delta)
     sigma_bar = _rms(sigmas, n, "sigmas")
-    c_bar = _rms(Cs, n, "Cs")
-    return sigma_bar / math.sqrt(n) + c_bar * math.sqrt(math.log(1.0 / delta) / n)
+    return subgaussian_radius(_rms(Cs, n, "Cs"), sigma_bar, n, delta)
 
 
 def noniid_bernstein_radius(
@@ -148,12 +151,7 @@ def noniid_bernstein_radius(
     n = _check_n(n)
     delta = _check_delta(delta)
     C = _check_nonneg(C, "C")
-    fn = _combine_fn(combine)
-    sigma_bar = _rms(sigmas, n, "sigmas")
-    log_term = math.log(1.0 / delta)
-    var_term = 2.0 * sigma_bar * math.sqrt(log_term / n)
-    range_term = 8.0 * C * log_term / (3.0 * n)
-    return sigma_bar / math.sqrt(n) + fn(var_term, range_term)
+    return _bernstein(_rms(sigmas, n, "sigmas"), C, n, delta, combine)
 
 
 def sturm_lln_bound(sigmas: Sequence[float], n: int) -> float:
@@ -244,28 +242,6 @@ def cat_kappa_radius(
         * math.sqrt(math.log(2.0 / delta) / n)
     )
     return bias + stoch
-
-
-def cat_kappa_radius_via_modulus(
-    A: float, p: float, kappa: float, epsilon: float, n: int, delta: float
-) -> float:
-    """The same radius assembled from the unsimplified route: constants c1, c2
-    built from the ball radius and the convexity modulus k_eps, then divided
-    by sqrt(k_eps/2).  Cross-check for :func:`cat_kappa_radius`."""
-    ke = k_epsilon(kappa, epsilon)
-    n = _check_n(n)
-    delta = _check_delta(delta)
-    A = _check_pos(A, "A")
-    p = _check_pos(p, "p")
-    sk = math.sqrt(kappa)
-    tn = math.tan(epsilon * sk)
-    ball = math.pi / (2.0 * sk) - epsilon
-    c1 = 96.0 * math.sqrt(2.0 * A) * ball / math.sqrt(ke)
-    c2 = math.sqrt((math.pi - 2.0 * sk * epsilon) / kappa) * (
-        2.0 / math.sqrt(tn) + 16.0 / (3.0 * math.sqrt(2.0))
-    )
-    scale = math.sqrt(ke / 2.0)
-    return (3.0 * c1 * math.sqrt(p / n) + 3.0 * c2 * math.sqrt(math.log(2.0 / delta) / n)) / scale
 
 
 def subgaussian_tail(K: float, t: float) -> float:

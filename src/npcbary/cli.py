@@ -20,6 +20,7 @@ config or flags (default 0); nothing reads an entropy source implicitly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -143,7 +144,7 @@ def cmd_experiment(args) -> int:
         else:
             raise SpaceError("experiment needs --config or --preset")
         if args.seed is not None:
-            config.seed = args.seed
+            config = dataclasses.replace(config, seed=args.seed)
         report = run_concentration(config)
     except ValueError as exc:
         raise SpaceError(str(exc)) from exc

@@ -74,6 +74,10 @@ ESTIMATORS = ("empirical", "inductive")
 # (block, n) index matrix and one stack of iterates.
 LOCKSTEP_BLOCK = 128
 
+# The property suite places and checks its midpoint and constant-speed
+# instances this many at a time, so its memory does not grow with samples.
+PROPERTY_CHUNK = 1024
+
 # The radii a coverage run can check, evaluated through bounds.BOUND_EVALUATORS.
 COVERAGE_BOUNDS = ("subgaussian", "hoeffding", "bernstein", "noniid_hoeffding", "noniid_bernstein")
 
@@ -749,16 +753,11 @@ class PropertySuiteReport:
         }
 
 
-def npc_midpoint_excess(space: Space, x, y, z) -> tuple[float, float]:
-    """Signed violation of the midpoint inequality
-    d(z,m)^2 <= (d(z,x)^2 + d(z,y)^2)/2 - d(x,y)^2/4 at m the geodesic
-    midpoint, plus the squared scale of the triple for tolerance scaling."""
-    excess, sq_scale = _midpoint_excess_rows(space, *(np.asarray(p)[None] for p in (x, y, z)))
-    return float(excess[0]), float(sq_scale[0])
-
-
 def _midpoint_excess_rows(space: Space, xs, ys, zs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`npc_midpoint_excess` of each row of three stacks of points."""
+    """For each row of three stacks of points, the signed violation of the
+    midpoint inequality d(z,m)^2 <= (d(z,x)^2 + d(z,y)^2)/2 - d(x,y)^2/4 at
+    m the geodesic midpoint, and the squared scale of the triple for
+    tolerance scaling."""
     m = space.row_geodesic(xs, ys, 0.5)
     dzx = space.row_dist(zs, xs)
     dzy = space.row_dist(zs, ys)
@@ -793,26 +792,29 @@ def npc_property_suite(
     to_json = space.payload_to_json
 
     # the instances' variates are drawn in the order of a per-instance loop,
-    # placed on the space a block at a time, and checked by row-wise calls
+    # placed on the space PROPERTY_CHUNK instances at a time, and checked by
+    # row-wise calls
     midpoint = PropertyCheck("midpoint_inequality", samples)
-    P = random_points(space, rng, 3 * samples)
-    X, Y, Z = P[0::3], P[1::3], P[2::3]
-    excess, sq_scale = _midpoint_excess_rows(space, X, Y, Z)
-    for x, y, z, e, sq in zip(X, Y, Z, excess.tolist(), sq_scale.tolist()):
-        midpoint.record(e, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
-                                    "excess": e},
-                        slack=1e-8 * (1.0 + sq))
-
     speed = PropertyCheck("constant_speed", samples)
-    DX, DY, S, T = zip(*((_draw(space, rng), _draw(space, rng), rng.uniform(), rng.uniform())
-                         for _ in range(samples)))
-    X, Y, S, T = _place(space, DX), _place(space, DY), np.array(S), np.array(T)
-    d = space.row_dist(X, Y)
-    err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
-                 - np.abs(S - T) * d)
-    for x, y, s, t, e, dxy in zip(X, Y, S.tolist(), T.tolist(), err.tolist(), d.tolist()):
-        speed.record(e - 1e-8 * (1.0 + dxy),
-                     lambda: {"x": to_json(x), "y": to_json(y), "s": s, "t": t, "error": e})
+    chunks = [min(PROPERTY_CHUNK, samples - start) for start in range(0, samples, PROPERTY_CHUNK)]
+    for k in chunks:
+        P = random_points(space, rng, 3 * k)
+        X, Y, Z = P[0::3], P[1::3], P[2::3]
+        excess, sq_scale = _midpoint_excess_rows(space, X, Y, Z)
+        for x, y, z, e, sq in zip(X, Y, Z, excess.tolist(), sq_scale.tolist()):
+            midpoint.record(e, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
+                                        "excess": e},
+                            slack=1e-8 * (1.0 + sq))
+    for k in chunks:
+        DX, DY, S, T = zip(*((_draw(space, rng), _draw(space, rng), rng.uniform(), rng.uniform())
+                             for _ in range(k)))
+        X, Y, S, T = _place(space, DX), _place(space, DY), np.array(S), np.array(T)
+        d = space.row_dist(X, Y)
+        err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
+                     - np.abs(S - T) * d)
+        for x, y, s, t, e, dxy in zip(X, Y, S.tolist(), T.tolist(), err.tolist(), d.tolist()):
+            speed.record(e - 1e-8 * (1.0 + dxy),
+                         lambda: {"x": to_json(x), "y": to_json(y), "s": s, "t": t, "error": e})
     checks = [midpoint, speed]
 
     for estimator in ("inductive", "empirical"):

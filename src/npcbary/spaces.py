@@ -80,7 +80,11 @@ class Space:
     Each space writes its distance and geodesic once, over rows: ``row_dist``
     and ``row_geodesic`` act on stacks of points along a leading axis, and
     ``dist`` and ``geodesic_point`` are their one-row case.  Metric trees
-    write the scalar calls, and their row forms loop over them.
+    write the scalar calls, and their row forms loop over them.  The smooth
+    spaces write their Riemannian maps over rows too: ``exp`` and
+    ``tangent_norm`` are the one-row case of ``row_exp`` and
+    ``row_tangent_norm``, and ``exp_from_base`` places points by ``row_exp``
+    at the base point.
     """
 
     kind: str = ""
@@ -121,13 +125,35 @@ class Space:
         axis of atoms), with their norms, which are the distances d(x, y)."""
         raise NotImplementedError
 
-    def exp(self, x, v):
-        """Point reached at time 1 along the geodesic leaving x with velocity v."""
+    def row_exp(self, xs, vs) -> np.ndarray:
+        """exp_{xs[i]}(vs[i]) for each row i: the point reached at time 1
+        along the geodesic leaving xs[i] with velocity vs[i]."""
         raise NotImplementedError
 
+    def row_tangent_norm(self, xs, vs) -> np.ndarray:
+        """Riemannian norm of the tangent vector vs[i] at xs[i] for each row
+        i; by default the norm of the embedding space, which it is on
+        Euclidean space and on the sphere."""
+        return np.sqrt(np.einsum("ij,ij->i", vs, vs))
+
+    def row_exp_from_base(self, directions, radii) -> np.ndarray:
+        """exp_from_base of each row of a (k, dim) stack of directions, with
+        one radius per row: ``row_exp`` at the base point, whose tangent
+        vectors fill the coordinates where the base point is 0."""
+        x = self.base_point()
+        v = np.zeros((len(radii), x.size))
+        v[:, x == 0.0] = radii[:, None] * directions
+        return self.row_exp(x, v)
+
+    def exp(self, x, v):
+        """Point reached at time 1 along the geodesic leaving x with velocity
+        v, the one-row case of ``row_exp``."""
+        return self.row_exp(x[None], v[None])[0]
+
     def tangent_norm(self, x, v) -> float:
-        """Riemannian norm of the tangent vector v at x."""
-        raise NotImplementedError
+        """Riemannian norm of the tangent vector v at x, the one-row case of
+        ``row_tangent_norm``."""
+        return float(self.row_tangent_norm(x[None], v[None])[0])
 
     def exp_from_base(self, direction, radius: float) -> np.ndarray:
         """Point at metric distance ``radius`` from the base point along the
@@ -135,11 +161,6 @@ class Space:
         one-row case of ``row_exp_from_base``."""
         return self.row_exp_from_base(np.asarray(direction, dtype=float)[None],
                                       np.array([float(radius)]))[0]
-
-    def row_exp_from_base(self, directions, radii) -> np.ndarray:
-        """exp_from_base of each row of a (k, dim) stack of directions, with
-        one radius per row (the hyperboloid and the sphere)."""
-        raise NotImplementedError
 
     def validate_point(self, p) -> str | None:
         """Return None if ``p`` is a valid point, else a diagnostic string."""
@@ -163,9 +184,6 @@ class Space:
         if diag is not None:
             raise SpaceError(f"{self.kind}: {diag}")
         return p
-
-    def midpoint(self, x, y):
-        return self.geodesic_point(x, y, 0.5)
 
     # serialization -------------------------------------------------------
 
@@ -209,11 +227,8 @@ class Euclidean(Space):
     def log(self, x, ys):
         return ys - x, self.row_dist(ys, x)
 
-    def exp(self, x, v):
-        return x + v
-
-    def tangent_norm(self, x, v) -> float:
-        return math.sqrt(float(v @ v))
+    def row_exp(self, xs, vs):
+        return xs + vs
 
 
 # ---------------------------------------------------------------------------
@@ -286,42 +301,27 @@ class Hyperbolic(Space):
         u = d + (0.5 * self.kappa * q)[:, None] * x
         return _over(theta, np.sinh)[:, None] * u, theta / math.sqrt(-self.kappa)
 
-    def exp(self, x, v):
-        theta = self.tangent_norm(x, v) * math.sqrt(-self.kappa)
-        if theta == 0.0:
-            return x.copy()
-        out = math.cosh(theta) * x + (math.sinh(theta) / theta) * v
-        q = self.kappa * float(_mink_rows(out[None])[0])
-        if q > 0:
-            out /= math.sqrt(q)
-        return out
+    def row_exp(self, xs, vs):
+        # cosh(theta) x + (sinh(theta) / theta) v, re-projected onto the
+        # sheet; a row whose tangent is zero stays at its x
+        theta = self.row_tangent_norm(xs, vs)[:, None] * math.sqrt(-self.kappa)
+        moves = theta > 0.0
+        out = np.cosh(theta) * xs + np.sinh(theta) / np.where(moves, theta, 1.0) * vs
+        q = self.kappa * _mink_rows(out)
+        out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
+        return np.where(moves, out, xs)
 
-    def tangent_norm(self, x, v) -> float:
+    def row_tangent_norm(self, xs, vs):
         # <v,v>_M = |v_s|^2 - v_t^2 cancels for long v, s the spatial and t
         # the last part.  Split v_s = a x_s + p with p orthogonal to x_s:
         # <x,v>_M = 0 then gives <v,v>_M = a^2 |x_s|^2 / (|kappa| x_t^2) + |p|^2
-        *xs, xt = x.tolist()
-        vs = v.tolist()
-        xx = xv = 0.0
-        for c, d in zip(xs, vs):
-            xx += c * c
-            xv += c * d
-        a = xv / xx if xx > 0.0 else 0.0
-        pp = sum((d - a * c) ** 2 for c, d in zip(xs, vs))
-        return math.sqrt(a * a * xx / (-self.kappa * xt * xt) + pp)
-
-    def row_exp_from_base(self, directions, radii):
-        # exp at the base point x: cosh(theta) x + (sinh(theta) / theta) v,
-        # re-projected onto the sheet; a zero tangent v stays at x
-        x = self.base_point()
-        v = np.zeros((len(radii), self.dim + 1))
-        v[:, :-1] = radii[:, None] * directions
-        theta = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None] * math.sqrt(-self.kappa)
-        moves = theta > 0.0
-        out = np.cosh(theta) * x + np.sinh(theta) / np.where(moves, theta, 1.0) * v
-        q = self.kappa * _mink_rows(out)
-        out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
-        return np.where(moves, out, x)
+        # (a = 0 where x_s = 0, as at the base point)
+        xsp, vsp = xs[..., :-1], vs[..., :-1]
+        xx = np.einsum("...j,...j->...", xsp, xsp)
+        a = np.einsum("...j,...j->...", xsp, vsp) / np.where(xx > 0.0, xx, 1.0)
+        p = vsp - a[..., None] * xsp
+        pp = np.einsum("...j,...j->...", p, p)
+        return np.sqrt(a * a * xx / (-self.kappa * xs[..., -1] ** 2) + pp)
 
     def _constraint_violation(self, q):
         if q[-1] <= 0:
@@ -411,29 +411,14 @@ class Sphere(Space):
         u = d + (0.5 * self.kappa * chord2)[:, None] * x
         return _over(theta, np.sin)[:, None] * u, theta / math.sqrt(self.kappa)
 
-    def exp(self, x, v):
-        theta = self.tangent_norm(x, v) * math.sqrt(self.kappa)
-        if theta == 0.0:
-            return x.copy()
-        out = math.cos(theta) * x + (math.sin(theta) / theta) * v
-        out *= self.radius / math.sqrt(float(out @ out))
-        return out
-
-    def tangent_norm(self, x, v) -> float:
-        return math.sqrt(float(v @ v))
-
-    def row_exp_from_base(self, directions, radii):
-        # walk each radius along the great circle leaving the base point x in
-        # its direction (orthogonal to e_1): cos(theta) x + (sin(theta) /
-        # theta) v, rescaled onto the sphere; a zero tangent v stays at x
-        x = self.base_point()
-        v = np.zeros((len(radii), self.dim + 1))
-        v[:, 1:] = radii[:, None] * directions
-        theta = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None] * math.sqrt(self.kappa)
+    def row_exp(self, xs, vs):
+        # cos(theta) x + (sin(theta) / theta) v, rescaled onto the sphere; a
+        # row whose tangent is zero stays at its x
+        theta = self.row_tangent_norm(xs, vs)[:, None] * math.sqrt(self.kappa)
         moves = theta > 0.0
-        out = np.cos(theta) * x + np.sin(theta) / np.where(moves, theta, 1.0) * v
+        out = np.cos(theta) * xs + np.sin(theta) / np.where(moves, theta, 1.0) * vs
         out *= self.radius / np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
-        return np.where(moves, out, x)
+        return np.where(moves, out, xs)
 
     def _constraint_violation(self, q):
         nrm = math.sqrt(float(q @ q))
@@ -532,15 +517,15 @@ class SpdAffine(Space):
         logs = np.log(m)
         return sym_part(_recompose(C @ V, logs)), np.sqrt((logs**2).sum(axis=-1))
 
-    def exp(self, x, v):
-        C, F = _factor(x)
-        e, V = np.linalg.eigh(sym_part(_congruence(F, v)))
+    def row_exp(self, xs, vs):
+        C, F = _factor(xs)
+        e, V = np.linalg.eigh(sym_part(_congruence(F, vs)))
         return sym_part(_recompose(C @ V, np.exp(e)))
 
-    def tangent_norm(self, x, v) -> float:
+    def row_tangent_norm(self, xs, vs):
         # ||x^{-1/2} v x^{-1/2}||_F^2 = tr(a a) with a = x^{-1} v
-        a = np.linalg.solve(x, v)
-        return math.sqrt(max(float(np.sum(a * a.T)), 0.0))
+        a = np.linalg.solve(xs, vs)
+        return np.sqrt(np.maximum(np.sum(a * a.swapaxes(-1, -2), axis=(-2, -1)), 0.0))
 
     def _constraint_violation(self, q):
         scale = max(1.0, float(np.abs(q).max()))

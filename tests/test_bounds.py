@@ -11,7 +11,6 @@ from npcbary.bounds import (
     BOUND_EVALUATORS,
     bernstein_radius,
     cat_kappa_radius,
-    cat_kappa_radius_via_modulus,
     evaluate_bound,
     hoeffding_radius,
     k_epsilon,
@@ -139,6 +138,22 @@ def test_cat_kappa_radius_value():
     )
     with pytest.raises(ValueError):
         cat_kappa_radius(1.0, 2.0, 1.0, math.pi / 2, 100, 0.1)
+
+
+def cat_kappa_radius_via_modulus(A, p, kappa, epsilon, n, delta):
+    """The CAT(kappa) radius assembled from the unsimplified route: constants
+    c1, c2 built from the ball radius and the convexity modulus k_eps, then
+    divided by sqrt(k_eps/2).  Independent cross-check for cat_kappa_radius."""
+    ke = k_epsilon(kappa, epsilon)
+    sk = math.sqrt(kappa)
+    tn = math.tan(epsilon * sk)
+    ball = math.pi / (2.0 * sk) - epsilon
+    c1 = 96.0 * math.sqrt(2.0 * A) * ball / math.sqrt(ke)
+    c2 = math.sqrt((math.pi - 2.0 * sk * epsilon) / kappa) * (
+        2.0 / math.sqrt(tn) + 16.0 / (3.0 * math.sqrt(2.0))
+    )
+    scale = math.sqrt(ke / 2.0)
+    return (3.0 * c1 * math.sqrt(p / n) + 3.0 * c2 * math.sqrt(math.log(2.0 / delta) / n)) / scale
 
 
 def test_cat_kappa_radius_matches_modulus_form():

@@ -407,6 +407,21 @@ def test_malformed_input_exit_code(tmp_path, capsys, name, path, value, needle):
     assert needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["hyperbolic", "gm"])
+def test_negative_max_cycles_exit_code(tmp_path, capsys, name):
+    command, doc = VALID_INPUTS[name]
+    assert run_input(doc, [command[0], "--max-cycles", "-1", *command[1:]], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "max_cycles" in err and "Traceback" not in err
+
+
+def test_experiment_negative_seed_exit_code(tmp_path, capsys):
+    assert main(["experiment", "--preset", "hoeffding-euclidean-empirical", "--seed", "-1",
+                 "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
 def _paths(doc, prefix=()):
     """Every path of keys and indices into ``doc``, the root () included."""
     yield prefix

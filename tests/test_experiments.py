@@ -14,6 +14,7 @@ from npcbary import (
     ExperimentConfig,
     Hyperbolic,
     SpaceError,
+    SpdAffine,
     Sphere,
     npc_property_suite,
     population_barycenter,
@@ -26,9 +27,12 @@ from npcbary import (
 from npcbary import bounds, empirical_barycenter, inductive_barycenter
 from npcbary.experiments import (
     LOCKSTEP_BLOCK,
+    PROPERTY_CHUNK,
     TRIAL_TOL_REL,
+    _midpoint_excess_rows,
     draw_indices,
     random_point,
+    random_points,
     trial_rng,
 )
 from npcbary.presets import (
@@ -116,7 +120,7 @@ def test_population_barycenter_sphere_midpoint():
     cands = [space.geodesic_point(x, y, t) for t in np.linspace(0, 1, 201)]
     objs = [sum(space.dist(p, c) ** 2 for p in (x, y)) for c in cands]
     best = cands[int(np.argmin(objs))]
-    mid = space.midpoint(x, y)
+    mid = space.geodesic_point(x, y, 0.5)
     assert space.dist(best, mid) <= 2e-3  # scan resolution
     assert space.dist(b, mid) <= 1e-7
 
@@ -529,6 +533,18 @@ def test_property_suite_tree_takes_no_tolerance(monkeypatch):
     monkeypatch.setattr("npcbary.experiments.sample_diameter", no_diameter)
     rep = npc_property_suite(star_tree(), samples=20, tuple_pairs=10, seed=2)
     assert rep.passed
+
+
+@pytest.mark.parametrize("space", [SpdAffine(3), Hyperbolic(-1.0)], ids=repr)
+def test_property_suite_checks_in_chunks(space):
+    # just past one chunk, the midpoint check equals one unchunked row call
+    # over the same stream's 3 * samples points
+    samples = PROPERTY_CHUNK + 1
+    midpoint = npc_property_suite(space, samples=samples, tuple_pairs=1, seed=4).checks[0]
+    P = random_points(space, np.random.default_rng(4), 3 * samples)
+    excess, sq_scale = _midpoint_excess_rows(space, P[0::3], P[1::3], P[2::3])
+    assert midpoint.max_excess == excess.max()
+    assert midpoint.violations == np.count_nonzero(excess > 1e-8 * (1.0 + sq_scale))
 
 
 def test_property_suite_rejects_sphere():

@@ -1,5 +1,6 @@
-"""Row-wise forms: each space writes its distance and geodesic once, over
-stacks of points, and the scalar calls are the one-row case."""
+"""Row-wise forms: each space writes its distance, geodesic and Riemannian
+maps once, over stacks of points, and the scalar calls are the one-row
+case."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ def test_scalar_calls_are_the_one_row_case(space, rng):
         for t in (0.0, 0.3, 1.0):
             g = space.row_geodesic(x[None], y[None], t)[0]
             assert np.array_equal(space.geodesic_point(x, y, t), g)
+        v = space.log(x, y[None])[0][0]
+        assert np.array_equal(space.exp(x, v), space.row_exp(x[None], v[None])[0])
+        assert space.tangent_norm(x, v) == space.row_tangent_norm(x[None], v[None])[0]
+    if isinstance(space, (Hyperbolic, Sphere)):
+        # the tangent space at the base point: the spatial coordinates of the
+        # hyperboloid, all but the first on the sphere
+        dirs = rng.standard_normal((5, space.dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        radii = rng.uniform(0.0, 1.0, 5)
+        v = np.zeros((5,) + space.point_shape)
+        v[:, slice(0, -1) if isinstance(space, Hyperbolic) else slice(1, None)] = (
+            radii[:, None] * dirs)
+        assert np.array_equal(space.row_exp_from_base(dirs, radii),
+                              space.row_exp(space.base_point(), v))
 
 
 def test_tree_row_forms_loop_over_the_scalar_calls(rng):

@@ -22,7 +22,7 @@ from npcbary import (
     space_from_json,
     space_to_json,
 )
-from npcbary.experiments import npc_midpoint_excess, random_point
+from npcbary.experiments import _midpoint_excess_rows, random_point, random_points
 
 from conftest import all_spaces, npc_spaces, path_tree, star_tree
 
@@ -185,9 +185,9 @@ def test_payload_shape_mismatch():
 @pytest.mark.parametrize("space", npc_spaces(), ids=lambda s: s.kind)
 def test_midpoint_inequality_random(space, rng):
     for _ in range(400):
-        x, y, z = (random_point(space, rng) for _ in range(3))
-        excess, sq_scale = npc_midpoint_excess(space, x, y, z)
-        assert excess <= 1e-8 * (1.0 + sq_scale)
+        x, y, z = (random_points(space, rng, 1) for _ in range(3))
+        excess, sq_scale = _midpoint_excess_rows(space, x, y, z)
+        assert excess[0] <= 1e-8 * (1.0 + sq_scale[0])
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
@@ -273,10 +273,17 @@ def test_hyperbolic_exp_inverts_log_on_far_pairs():
     # cancellation, so exp(x, log_x y) lands on y at rounding level
     space = Hyperbolic(-2.5, 3)
     rng = np.random.default_rng(0)
+    xs, ys, vs = [], [], []
     for _ in range(200):
         x, y = random_point(space, rng), random_point(space, rng)
         v = space.log(x, y[None])[0][0]
         assert space.dist(space.exp(x, v), y) <= 1e-11
+        xs.append(x)
+        ys.append(y)
+        vs.append(v)
+    # and as one stacked call over all the pairs
+    X, Y = np.array(xs), np.array(ys)
+    assert np.all(space.row_dist(space.row_exp(X, np.array(vs)), Y) <= 1e-11)
 
 
 # ---------------------------------------------------------------------------
