@@ -177,26 +177,23 @@ def frechet_objective(space: Space, points: Sequence, b) -> float:
 
 
 def inductive_barycenter(space: Space, points: Sequence):
-    """s_n from the exact recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k).
+    """s_n from the exact recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k),
+    the one-row case of :func:`inductive_rows`.
 
     Order-dependent by construction; in Euclidean space it reproduces the
     running arithmetic mean.
     """
     if len(points) < 1:
         raise SpaceError("need at least one point")
-    s = points[0]
-    for k, x in enumerate(points[1:], start=2):
-        s = space.geodesic_point(s, x, 1.0 / k)
-    return s
+    return inductive_rows(space, np.array(points), np.arange(len(points))[None])[0]
 
 
 def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """:func:`inductive_barycenter` of every row of the index matrix ``idx``
-    at once, row i's points being ``support[idx[i]]`` (an array, or an
-    object array of tree points).  All rows advance together through the
-    space's row-wise geodesic, gathering step k's points from column k, so
-    no (rows, n, point) array is built.  Row i of the result matches the
-    scalar recursion on its points up to rounding."""
+    """The inductive recursion on every row of the index matrix ``idx`` at
+    once, row i's points being ``support[idx[i]]`` (an array, or an object
+    array of tree points).  All rows advance together through the space's
+    row-wise geodesic, gathering step k's points from column k, so no
+    (rows, n, point) array is built."""
     cols = np.ascontiguousarray(idx.T)
     s = support[cols[0]]
     for k, col in enumerate(cols[1:], start=2):

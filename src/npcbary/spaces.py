@@ -804,6 +804,12 @@ class MetricTree(Space):
         return np.array([self.geodesic_point(x, y, s) for x, y, s in zip(xs, ys, ts)],
                         dtype=object)
 
+    def _no_riemannian_maps(self, *args):
+        raise NotImplementedError("metric trees have no Riemannian maps (exp, log, tangent norms)")
+
+    log = row_exp = row_tangent_norm = row_exp_from_base = _no_riemannian_maps
+    exp = tangent_norm = exp_from_base = _no_riemannian_maps
+
     def frechet_mean(self, points: Sequence, weights: Sequence[float]) -> TreePoint:
         """Exact minimizer of sum_i w_i d(x_i, .)^2 (Bacak 2014; Sturm 2003).
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from npcbary import (
+    ConvergenceError,
     DistributionSpec,
     Euclidean,
     ExperimentConfig,
@@ -300,6 +301,54 @@ def test_empirical_trials_merge_support_points_equal_by_value():
                            trials=30, delta=0.1, seed=4)
     rep = run_concentration(cfg)
     assert rep.distances == per_trial_empirical(cfg, rep.D)
+
+
+def measure_key(points):
+    """A trial's empirical measure: its distinct objects in first-seen order
+    and their counts."""
+    ids = [id(x) for x in points]
+    order = list(dict.fromkeys(ids))
+    return tuple(order), tuple(ids.count(i) for i in order)
+
+
+def counting_solves(monkeypatch, fail_on=None):
+    """Route run_concentration's empirical_barycenter through a wrapper that
+    records each solve's measure, raising ConvergenceError on ``fail_on``."""
+    seen = []
+
+    def solve(space, points, **kw):
+        seen.append(measure_key(points))
+        if seen[-1] == fail_on:
+            raise ConvergenceError("forced")
+        return empirical_barycenter(space, points, **kw)
+
+    monkeypatch.setattr("npcbary.experiments.empirical_barycenter", solve)
+    return seen
+
+
+@pytest.mark.parametrize("name, trials", [("bernstein-spd-empirical", 400),
+                                          ("noniid-hoeffding-empirical", 60)])
+def test_each_distinct_measure_is_solved_once(monkeypatch, name, trials):
+    cfg = preset_config(name)
+    cfg.trials = trials
+    keys = [measure_key(per_trial_draws(cfg, t)) for t in range(trials)]
+    seen = counting_solves(monkeypatch)
+    rep = run_concentration(cfg)
+    assert seen == list(dict.fromkeys(keys))
+    monkeypatch.undo()
+    assert rep.distances == per_trial_empirical(cfg, rep.D)
+
+
+def test_shared_solve_error_names_the_first_trial_of_its_measure(monkeypatch):
+    cfg = preset_config("bernstein-spd-empirical")
+    cfg.trials = 200
+    keys = [measure_key(per_trial_draws(cfg, t)) for t in range(cfg.trials)]
+    # a measure first drawn after trial 0 and drawn again later
+    first = next(t for t in range(1, cfg.trials)
+                 if keys[t] not in keys[:t] and keys[t] in keys[t + 1:])
+    counting_solves(monkeypatch, fail_on=keys[first])
+    with pytest.raises(ConvergenceError, match=f"^trial {first}: forced"):
+        run_concentration(cfg)
 
 
 def test_lockstep_blocks_cover_every_trial():

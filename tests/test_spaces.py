@@ -329,6 +329,15 @@ def test_row_geodesic_rejects_an_antipodal_row():
     assert sph.row_dist(X, Y)[2] == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("name", ["exp", "tangent_norm", "exp_from_base", "log", "row_exp",
+                                  "row_tangent_norm", "row_exp_from_base"])
+def test_tree_has_no_riemannian_maps(name):
+    tree = star_tree()
+    p = tree.vertex_point("o")
+    with pytest.raises(NotImplementedError, match="metric trees have no Riemannian maps"):
+        getattr(tree, name)(p, p)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
