@@ -9,17 +9,8 @@ atoms; weighted barycenters solve the same problem for given weights.  On a
 metric tree, where the Frechet functional is a convex quadratic along each
 edge, the mean is computed exactly.
 
-On the smooth spaces the solver starts from one pass of the weighted
-recursion (Sturm 2003; Lim & Palfia 2014): the visit of atom i steps toward
-it with t = w_i / W, W the weight accumulated so far, counting this visit, so
-two atoms are solved exactly.  It then runs the Karcher fixed point
-s <- exp_s(alpha * g), g = sum_i w_i log_s x_i, with the curvature-aware step
-alpha of Bini & Iannazzo (2013) and Afsari, Tron & Vidal (2013), and stops
-once the variance inequality certifies d(s, b*) <= (2/k) ||g||_s <= tol, with
-k = 2 in CAT(0) and k = k_epsilon on a sphere cap.  Weights are exact
-rationals; a float weight is taken as its exact binary rational.  A
-brute-force grid/candidate minimizer of the Frechet objective is included as
-an independent oracle for small instances.
+On the smooth spaces the solver is a warm start and a certified Karcher
+fixed point; README.md ("Notes on the solver") describes both.
 """
 
 from __future__ import annotations
@@ -161,7 +152,7 @@ def sample_diameter(space: Space, points: Sequence, exact_cap: int = 600) -> flo
     n = len(points)
     if n <= 1:
         return 0.0
-    xs = np.array(points)
+    xs = space.stack(points)
     if n <= exact_cap:
         i, j = _pairs(n)
         return float(space.row_dist(xs[i], xs[j]).max())
@@ -173,7 +164,8 @@ def default_tolerance(space: Space, points: Sequence) -> float:
 
 
 def frechet_objective(space: Space, points: Sequence, b) -> float:
-    return sum(r**2 for r in space.row_dist(np.array(points), b).tolist()) / len(points)
+    (row,) = space.stack([b])
+    return sum(r**2 for r in space.row_dist(space.stack(points), row).tolist()) / len(points)
 
 
 def inductive_barycenter(space: Space, points: Sequence):
@@ -185,15 +177,16 @@ def inductive_barycenter(space: Space, points: Sequence):
     """
     if len(points) < 1:
         raise SpaceError("need at least one point")
-    return inductive_rows(space, np.array(points), np.arange(len(points))[None])[0]
+    rows = inductive_rows(space, space.stack(points), np.arange(len(points))[None])
+    return space.unstack(rows)[0]
 
 
 def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The inductive recursion on every row of the index matrix ``idx`` at
-    once, row i's points being ``support[idx[i]]`` (an array, or an object
-    array of tree points).  All rows advance together through the space's
-    row-wise geodesic, gathering step k's points from column k, so no
-    (rows, n, point) array is built."""
+    once, row i's points being ``support[idx[i]]``, ``support`` a stack
+    (``space.stack``), and the result the stack of the rows' iterates.  All
+    rows advance together through the space's row-wise geodesic, gathering
+    step k's points from column k, so no (rows, n, point) array is built."""
     cols = np.ascontiguousarray(idx.T)
     s = support[cols[0]]
     for k, col in enumerate(cols[1:], start=2):
@@ -243,7 +236,7 @@ def empirical_barycenter(
 def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
     """The best support-centred ball: the index c of the point of ``points``
     that minimizes max_i d(x_c, x_i), the first on ties, and that radius."""
-    xs = np.array(points)
+    xs = space.stack(points)
     return min(enumerate(float(space.row_dist(x, xs).max()) for x in xs), key=lambda b: b[1])
 
 
@@ -286,7 +279,9 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         total = sum(masses)
         weights = [float(m / total) for m in masses]
         s = space.frechet_mean(points, weights)
-        return s, 0, 0.0, 0.0, sum(w * space.dist(x, s) ** 2 for x, w in zip(points, weights))
+        (row,) = space.stack([s])
+        r = space.row_dist(space.stack(points), row).tolist()
+        return s, 0, 0.0, 0.0, sum(w * ri**2 for w, ri in zip(weights, r))
     if tol is None:
         tol = default_tolerance(space, points)
 
@@ -297,7 +292,7 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         total += m
         s = geodesic(s, x, float(m / total))
     weights = np.array([float(m / total) for m in masses])
-    xs = np.array(points)
+    xs = space.stack(points)
     ball = support_ball(space, points) if isinstance(space, Sphere) else None
     step = 0.0
     for iteration in itertools.count():
@@ -327,19 +322,27 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
 
 def _error_bound(space: Space, g_norm: float, radius: float) -> float:
     """(2/k) ||g||_s, which bounds d(s, b*) by the variance inequality
-    F(s) >= F(b*) + (k/2) d(s, b*)^2: k = 2 in CAT(0).  On a sphere,
-    k = k_epsilon(kappa, pi/(2 sqrt(kappa)) - R) for a ball of radius R that
-    holds the atoms and s, and the bound is infinite when
-    R >= pi/(2 sqrt(kappa)).
+    F(s) >= F(b*) + (k/2) d(s, b*)^2: k = 2 in CAT(0).  On a sphere, k =
+    k_epsilon(kappa, pi/(2 sqrt(kappa)) - R - beta) on the ball of radius R
+    that holds the atoms and s, widened by the bound beta itself so that it
+    holds b* too.  beta is the least fixed point of that map, reached by
+    monotone iteration from 0, and is infinite once R + beta >=
+    pi/(2 sqrt(kappa)) or the iteration has not settled in 64 steps.
     """
     if not isinstance(space, Sphere) or g_norm == 0.0:
         return g_norm
     limit = math.pi / (2.0 * math.sqrt(space.kappa))
-    if radius >= limit:
-        return math.inf
-    if limit - radius >= limit:  # a ball too small to resolve: k = 2
-        return g_norm
-    return 2.0 * g_norm / k_epsilon(space.kappa, limit - radius)
+    bound = 0.0
+    for _ in range(64):
+        eps = limit - (radius + bound)
+        if eps <= 0.0:
+            return math.inf
+        # a ball too small to resolve has k = 2
+        new = g_norm if eps >= limit else 2.0 * g_norm / k_epsilon(space.kappa, eps)
+        if new <= bound:
+            return bound
+        bound = new
+    return math.inf
 
 
 def _step_size(space: Space, weights: np.ndarray, r: np.ndarray) -> float:
@@ -380,7 +383,8 @@ def weighted_barycenter(
 def frechet_variance(space: Space, sample: WeightedSample, b) -> float:
     """sum_i w_i d(x_i, b)^2, the Frechet functional of the sample at b."""
     weights = sample.resolved_weights()
-    r = space.row_dist(np.array(sample.points), b).tolist()
+    (row,) = space.stack([b])
+    r = space.row_dist(space.stack(sample.points), row).tolist()
     return float(sum(float(w) * ri**2 for w, ri in zip(weights, r)))
 
 
@@ -390,7 +394,7 @@ def pairwise_variance_estimate(space: Space, points: Sequence) -> float:
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
-    xs = np.array(points)
+    xs = space.stack(points)
     i, j = _pairs(n)
     return 2.0 * sum(r**2 for r in space.row_dist(xs[i], xs[j]).tolist()) / (n * n)
 

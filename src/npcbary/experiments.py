@@ -9,14 +9,9 @@ its own RNG stream from (seed, trial index); reports are therefore identical
 regardless of scheduling, and two runs of the same config and seed produce
 bitwise-identical distance lists.
 
-Trials hold their draws as indices into the stacked support: inductive
-trials advance in lockstep through row-wise geodesics, and each distinct
-empirical measure among the trials is solved once, from the support's own
-objects grouped by atom, which the solver counts by identity into weighted
-atoms.  Ground truth and the property suite make row-wise calls over
-stacks, not pair loops.  Random instances draw their variates point by
-point, in the order of a per-point loop, and are placed on the space a block
-at a time; a single random point is the one-row block.
+Trials hold their draws as indices into the stacked support, and random
+instances are drawn point by point and placed a block at a time; README.md
+("Notes on the solver") describes both.
 """
 
 from __future__ import annotations
@@ -49,6 +44,7 @@ from .spaces import (
     SpaceError,
     SpdAffine,
     Sphere,
+    TreePoint,
     check_keys,
     point_from_json,
     read_field,
@@ -366,11 +362,12 @@ def _block_distances(space: Space, b_star, trials: int, draws, estimate) -> list
     ``estimate(idx)`` stacks the estimates of a block of trials from the
     index matrix of their ``draws``, and their distances to b* are one
     row-wise call."""
+    (b_row,) = space.stack([b_star])
     out = []
     for start in range(0, trials, LOCKSTEP_BLOCK):
         block = range(start, min(start + LOCKSTEP_BLOCK, trials))
         idx = np.stack([draws(t) for t in block])
-        out += space.row_dist(estimate(idx), b_star).tolist()
+        out += space.row_dist(estimate(idx), b_row).tolist()
     return out
 
 
@@ -391,10 +388,11 @@ def _setup_ground_truth(config: ExperimentConfig):
                     f"non-i.i.d. mode needs a shared barycenter: distribution {i} "
                     f"({d.label or 'unlabeled'}) is {gap} away from the first"
                 )
+    (b_row,) = space.stack([b_star])
     sigmas, Cs = [], []
     for d in dists:
         sigmas.append(math.sqrt(frechet_variance(space, d.as_weighted_sample(), b_star)))
-        Cs.append(float(space.row_dist(b_star, np.array(d.support)).max()))
+        Cs.append(float(space.row_dist(b_row, space.stack(d.support)).max()))
     return b_star, sigmas, Cs
 
 
@@ -427,7 +425,7 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     atoms = [x for d in dists for x in d.support]
     draws = _trial_draws(config)
     if config.estimator == "inductive":
-        support = np.array(atoms)
+        support = space.stack(atoms)
         distances = _block_distances(space, b_star, config.trials, draws,
                                      lambda idx: inductive_rows(space, support, idx))
     else:
@@ -562,7 +560,8 @@ def verify_subgaussian_witness(
     """
     space = dist.space
     dist.space.check_point(x0)
-    atom_f = space.row_dist(np.array(dist.support), x0)
+    (x0_row,) = space.stack([x0])
+    atom_f = space.row_dist(space.stack(dist.support), x0_row)
     C = float(atom_f.max())
     weights = np.array([float(w) for w in dist.as_weighted_sample().resolved_weights()])
     mean_f = float(weights @ atom_f)
@@ -636,7 +635,7 @@ def run_pac(
     else:
         m = bounds.pac_sample_size(D, eps_target, delta, c_pac)
 
-    support = np.array(points)
+    support = space.stack(points)
     distances = _block_distances(space, b_star, trials,
                                  lambda t: trial_rng(seed, t).integers(0, n, size=m),
                                  lambda idx: inductive_rows(space, support, idx))
@@ -687,9 +686,9 @@ def _place(space: Space, draws: Sequence[tuple]) -> np.ndarray:
     """The stack of points that the raw variates ``draws`` of :func:`_draw`
     stand for, placed on the space with one stacked call: the normals
     themselves, one SPD exponential, one exp from the base point, or on a
-    tree one edge point per row."""
+    tree the stack of the edge points, which ``stack`` snaps."""
     if isinstance(space, MetricTree):
-        return np.array([space.edge_point(eid, off) for eid, off in draws], dtype=object)
+        return space.stack([TreePoint(edge=eid, offset=off) for eid, off in draws])
     first = np.array([d[0] for d in draws])
     if isinstance(space, Euclidean):
         return first
@@ -699,9 +698,9 @@ def _place(space: Space, draws: Sequence[tuple]) -> np.ndarray:
 
 
 def random_points(space: Space, rng: np.random.Generator, k: int) -> np.ndarray:
-    """A stack of k bounded, well-conditioned random points of the given
-    space: their raw variates are drawn point by point, and the block is
-    placed on the space at once."""
+    """A stack (``space.stack``) of k bounded, well-conditioned random
+    points of the given space: their raw variates are drawn point by point,
+    and the block is placed on the space at once."""
     return _place(space, [_draw(space, rng) for _ in range(k)])
 
 
@@ -709,11 +708,11 @@ def random_point(space: Space, rng: np.random.Generator):
     """A bounded, well-conditioned random point of the given space, the
     one-row case of :func:`random_points`: k successive calls give the k
     points of one ``random_points`` call on an equal generator."""
-    return random_points(space, rng, 1)[0]
+    return space.unstack(random_points(space, rng, 1))[0]
 
 
 def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
-    return list(random_points(space, rng, n))
+    return list(space.unstack(random_points(space, rng, n)))
 
 
 def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence, scale: float = 0.3) -> list:
@@ -723,7 +722,8 @@ def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence, scale:
     for _ in xs:  # per point: its target's variates, then its fraction
         targets.append(_draw(space, rng))
         ts.append(rng.uniform(0.0, scale))
-    return list(space.row_geodesic(np.array(xs), _place(space, targets), np.array(ts)))
+    return list(space.unstack(space.row_geodesic(space.stack(xs), _place(space, targets),
+                                                 np.array(ts))))
 
 
 @dataclass
@@ -806,7 +806,9 @@ def npc_property_suite(
         if count < 1:
             raise SpaceError(f"{name} must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    to_json = space.payload_to_json
+
+    def to_json(row):  # a witness point, from its row of a stack
+        return space.payload_to_json(space.unstack(row[None])[0])
 
     # the instances' variates are drawn in the order of a per-instance loop,
     # placed on the space PROPERTY_CHUNK instances at a time, and checked by

@@ -1,30 +1,9 @@
-"""Geodesic metric spaces with exact distance and geodesic-point formulas.
-
-Five concrete spaces are implemented:
-
-* ``Euclidean(dim)``      -- R^d with the usual norm; geodesics are segments.
-* ``Hyperbolic(kappa)``   -- hyperboloid sheet of constant curvature kappa < 0
-                             in Minkowski space R^{d,1}.
-* ``SpdAffine(p)``        -- symmetric positive definite p x p matrices with the
-                             affine-invariant metric d(A,B) = ||log(A^-1/2 B A^-1/2)||_F.
-* ``MetricTree(...)``     -- a finite tree with positive edge lengths and the
-                             path-length metric.
-* ``Sphere(kappa)``       -- round sphere of radius 1/sqrt(kappa), kappa > 0,
-                             with the arc-length metric.
-
-The first four are non-positively curved (the midpoint inequality holds for
-every triple); the sphere is positively curved and geodesics between antipodal
-points are rejected as non-unique.
-
-Points are raw payloads: numpy vectors for Euclidean / Hyperbolic / Sphere,
-numpy (p, p) matrices for SpdAffine, and :class:`TreePoint` for MetricTree.
-All operations are pure functions of immutable inputs and safe to call
-concurrently.
-"""
+"""Geodesic metric spaces with exact distance and geodesic formulas (see README.md)."""
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Sequence
@@ -74,18 +53,7 @@ def _over(theta: np.ndarray, fn) -> np.ndarray:
 
 
 class Space:
-    """Common interface of all concrete spaces.  The defaults serve the array
-    spaces, whose points are float arrays of shape ``point_shape``.
-
-    Each space writes its distance and geodesic once, over rows: ``row_dist``
-    and ``row_geodesic`` act on stacks of points along a leading axis, and
-    ``dist`` and ``geodesic_point`` are their one-row case.  Metric trees
-    write the scalar calls, and their row forms loop over them.  The smooth
-    spaces write their Riemannian maps over rows too: ``exp`` and
-    ``tangent_norm`` are the one-row case of ``row_exp`` and
-    ``row_tangent_norm``, and ``exp_from_base`` places points by ``row_exp``
-    at the base point.
-    """
+    """Common interface of the spaces, written over stacks of points (see README.md)."""
 
     kind: str = ""
 
@@ -97,17 +65,28 @@ class Space:
             if name not in vars(cls):
                 setattr(cls, name, getattr(Space, name))
 
+    def stack(self, points) -> np.ndarray:
+        """The array the row forms compute on, for a sequence of points: on
+        the array spaces, the points stacked along a leading axis."""
+        return np.array(points)
+
+    def unstack(self, stack):
+        """The points of a stack, indexed like its rows: on the array spaces,
+        the rows themselves."""
+        return stack
+
     def dist(self, x, y) -> float:
         """d(x, y), the one-row case of ``row_dist``."""
-        return float(self.row_dist(x[None], y[None])[0])
+        return float(self.row_dist(self.stack([x]), self.stack([y]))[0])
 
     def geodesic_point(self, x, y, t: float):
         """Point gamma_{x,y}(t) on the constant-speed geodesic from x to y,
         the one-row case of ``row_geodesic``."""
-        return self.row_geodesic(x[None], y[None], t)[0]
+        return self.unstack(self.row_geodesic(self.stack([x]), self.stack([y]), t))[0]
 
     # Row-wise forms: row i of the result is the operation on row i of each
-    # stack; either stack may be one point instead, standing for every row --
+    # stack; either stack may be one row instead (on the array spaces, one
+    # point), standing for every row --
 
     def row_dist(self, xs, ys) -> np.ndarray:
         """d(xs[i], ys[i]) for each row i of two stacks of points."""
@@ -557,13 +536,10 @@ class TreePoint:
             raise SpaceError("tree point must have exactly one of vertex / edge set")
 
 
-def _edge_key(u, v):
-    return (u, v) if u <= v else (v, u)
-
-
-def _object_rows(*cols) -> list[list]:
-    """Row arguments (stacks, or one value for every row) as equal lists."""
-    return [c.tolist() for c in np.broadcast_arrays(*(np.asarray(c, dtype=object) for c in cols))]
+def _snap_margin(length):
+    """How close to an end of an edge of this length (a float or an array)
+    an offset snaps to that end's vertex."""
+    return 1e-12 * (1.0 + length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,8 +549,10 @@ class MetricTree(Space):
     ``vertices`` is a sequence of hashable, mutually comparable ids (all
     strings or all integers); ``edges`` lists (u, v, length) triples.  The
     structure must be connected and acyclic.  Vertex-pair distances and
-    shortest-path parents are precomputed once (O(V^2) traversal), so
-    point-to-point queries reduce to table lookups plus offset arithmetic.
+    next hops are tabulated once.  A stack of tree points is a float (k, 2)
+    array of (code, offset) rows: code v < V is vertex ``vertices[v]`` at
+    offset 0, and code V + e the point of edge e at ``offset`` from its
+    lower-id endpoint.
     """
 
     vertices: tuple
@@ -584,14 +562,12 @@ class MetricTree(Space):
 
     # derived tables, filled in __post_init__
     _idx: dict = field(default=None, repr=False, compare=False)
-    _elow: tuple = field(default=None, repr=False, compare=False)
-    _ehigh: tuple = field(default=None, repr=False, compare=False)
-    _elen: tuple = field(default=None, repr=False, compare=False)
+    _ends: np.ndarray = field(default=None, repr=False, compare=False)
+    _len: np.ndarray = field(default=None, repr=False, compare=False)
     _snap: tuple = field(default=None, repr=False, compare=False)
-    _adj: tuple = field(default=None, repr=False, compare=False)
     _dist_table: np.ndarray = field(default=None, repr=False, compare=False)
     _parent: np.ndarray = field(default=None, repr=False, compare=False)
-    _pair_edge: dict = field(default=None, repr=False, compare=False)
+    _hop: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -609,9 +585,13 @@ class MetricTree(Space):
                 f"tree needs |edges| = |vertices| - 1, got {len(edges)} edges for {len(verts)} vertices"
             )
 
-        elow, ehigh, elen = [], [], []
+        n = len(verts)
+        # per stack code (the vertices, then the edges): the lower and upper
+        # end vertices, a vertex being both, and the length, 0 at a vertex
+        ends = [list(range(n)), list(range(n))]
+        elen = [0.0] * n
         adj: list[list[tuple[int, int]]] = [[] for _ in verts]
-        pair_edge: dict = {}
+        pairs = set()
         for eid, (u, v, ln) in enumerate(edges):
             if u not in idx or v not in idx:
                 raise SpaceError(f"edge ({u}, {v}) references an unknown vertex")
@@ -623,47 +603,47 @@ class MetricTree(Space):
                 lo, hi = (u, v) if u <= v else (v, u)
             except TypeError as exc:
                 raise SpaceError(f"vertex ids {u!r} and {v!r} are not comparable") from exc
-            i, j = idx[lo], idx[hi]
-            key = _edge_key(i, j)
-            if key in pair_edge:
+            if (lo, hi) in pairs:
                 raise SpaceError(f"duplicate edge between {lo} and {hi}")
-            pair_edge[key] = eid
-            elow.append(i)
-            ehigh.append(j)
+            pairs.add((lo, hi))
+            i, j = idx[lo], idx[hi]
+            ends[0].append(i)
+            ends[1].append(j)
             elen.append(ln)
-            adj[i].append((j, eid))
-            adj[j].append((i, eid))
+            adj[i].append((j, n + eid))
+            adj[j].append((i, n + eid))
 
-        n = len(verts)
+        # per root, each vertex's distance, parent (its next hop toward the
+        # root) and the code of the edge to that parent
         dist_table = np.zeros((n, n))
-        parent = np.full((n, n), -1, dtype=np.int64)
+        parent = np.full((n, n), -1, dtype=np.intp)
+        hop = np.full((n, n), -1, dtype=np.intp)
         for root in range(n):
             seen = [False] * n
             seen[root] = True
             stack = [root]
             while stack:
                 cur = stack.pop()
-                for (nxt, eid) in adj[cur]:
+                for (nxt, code) in adj[cur]:
                     if not seen[nxt]:
                         seen[nxt] = True
                         parent[root, nxt] = cur
-                        dist_table[root, nxt] = dist_table[root, cur] + elen[eid]
+                        hop[root, nxt] = code
+                        dist_table[root, nxt] = dist_table[root, cur] + elen[code]
                         stack.append(nxt)
             if not all(seen):
                 missing = verts[seen.index(False)]
                 raise SpaceError(f"tree is not connected (vertex {missing!r} unreachable)")
 
         object.__setattr__(self, "_idx", idx)
-        object.__setattr__(self, "_elow", tuple(elow))
-        object.__setattr__(self, "_ehigh", tuple(ehigh))
-        object.__setattr__(self, "_elen", tuple(elen))
+        object.__setattr__(self, "_ends", np.array(ends, dtype=np.intp))
+        object.__setattr__(self, "_len", np.array(elen))
         # per edge, the offsets at or beyond which a point snaps to an endpoint
-        object.__setattr__(self, "_snap", tuple((1e-12 * (1.0 + ln), ln - 1e-12 * (1.0 + ln))
-                                                for ln in elen))
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "_snap", tuple((_snap_margin(ln), ln - _snap_margin(ln))
+                                                for ln in elen[n:]))
         object.__setattr__(self, "_dist_table", dist_table)
         object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_pair_edge", pair_edge)
+        object.__setattr__(self, "_hop", hop)
 
     def __eq__(self, other):
         return (
@@ -684,21 +664,28 @@ class MetricTree(Space):
 
     def edge_point(self, eid: int, offset: float) -> TreePoint:
         """Canonical point on edge ``eid`` at arclength ``offset`` from the
-        lower-id endpoint; offsets at (or within rounding of) an endpoint
-        collapse to the vertex form."""
+        lower-id endpoint, the one-row case of ``_edge_rows``."""
         if not 0 <= eid < len(self.edges):
             raise SpaceError(f"edge index {eid} out of range")
-        ln = self._elen[eid]
-        offset = float(offset)
+        code = len(self.vertices) + operator.index(eid)
+        return self.unstack(self._edge_rows(np.array([code]), np.array([float(offset)])))[0]
+
+    def _edge_rows(self, codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The stack of the points at ``offsets`` on the edges of stack codes
+        ``codes``: an offset outside [0, L] by more than rounding raises, and
+        one within the snap margins of an end becomes that end's vertex."""
+        ln = self._len[codes]
         slack = REL_POINT_TOL * (1.0 + ln)
-        if not -slack <= offset <= ln + slack:
-            raise SpaceError(f"offset {offset} outside [0, {ln}] on edge {eid}")
-        lo, hi = self._snap[eid]
-        if offset <= lo:
-            return TreePoint(vertex=self.vertices[self._elow[eid]])
-        if offset >= hi:
-            return TreePoint(vertex=self.vertices[self._ehigh[eid]])
-        return TreePoint(edge=eid, offset=offset)
+        bad = ~((offsets >= -slack) & (offsets <= ln + slack))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SpaceError(f"offset {float(offsets[i])} outside [0, {float(ln[i])}] "
+                             f"on edge {int(codes[i]) - len(self.vertices)}")
+        margin = _snap_margin(ln)
+        low, high = offsets <= margin, offsets >= ln - margin
+        lo, hi = self._ends[:, codes]
+        return np.array([np.where(low, lo, np.where(high, hi, codes)),
+                         np.where(low | high, 0.0, offsets)]).T
 
     def _canonical(self, p: TreePoint) -> TreePoint:
         """``p`` itself if it is canonical already: a known vertex, or an int
@@ -716,93 +703,87 @@ class MetricTree(Space):
                 return p
         return self.edge_point(eid, p.offset)
 
-    def _anchors(self, p: TreePoint) -> list[tuple[int, float]]:
-        """(vertex index, lead-in length) pairs through which any path from
-        ``p`` to the rest of the tree must exit."""
-        if p.vertex is not None:
-            return [(self._idx[p.vertex], 0.0)]
-        eid = p.edge
-        return [
-            (self._elow[eid], p.offset),
-            (self._ehigh[eid], self._elen[eid] - p.offset),
-        ]
+    # stacks ---------------------------------------------------------------
+
+    def stack(self, points) -> np.ndarray:
+        """The (k, 2) stack of a sequence of tree points, each first put in
+        canonical form by ``_canonical``."""
+        idx, n = self._idx, len(self.vertices)
+        rows = []
+        for p in points:
+            p = self._canonical(p)
+            rows.append((idx[p.vertex], 0.0) if p.vertex is not None else (n + p.edge, p.offset))
+        return np.array(rows, dtype=float).reshape(-1, 2)
+
+    def unstack(self, stack) -> list[TreePoint]:
+        """The tree points of a stack's rows."""
+        verts, n = self.vertices, len(self.vertices)
+        return [TreePoint(vertex=verts[c]) if c < n else TreePoint(edge=c - n, offset=off)
+                for c, off in zip(stack[:, 0].astype(np.intp).tolist(), stack[:, 1].tolist())]
 
     # metric ---------------------------------------------------------------
 
-    def _route(self, x: TreePoint, y: TreePoint):
-        """d(x, y) for canonical points, with the anchors of x and of y that a
-        shortest path runs through (both None when x and y share an edge)."""
-        if x.edge is not None and x.edge == y.edge:
-            return abs(x.offset - y.offset), None, None
-        table = self._dist_table
-        best = None
-        for ax, lx in self._anchors(x):
-            for ay, ly in self._anchors(y):
-                d = lx + table[ax, ay] + ly
-                if best is None or d < best[0]:
-                    best = (d, (ax, lx), (ay, ly))
-        return best
-
-    def dist(self, x, y) -> float:
-        return self._route(self._canonical(x), self._canonical(y))[0]
-
-    def _vertex_path(self, a: int, b: int) -> list[int]:
-        path = [b]
-        parents = self._parent[a]
-        while path[-1] != a:
-            path.append(int(parents[path[-1]]))
-        path.reverse()
-        return path
-
-    def geodesic_point(self, x, y, t):
-        t = _check_t(t)
-        x = self._canonical(x)
-        y = self._canonical(y)
-        d, exit_x, entry_y = self._route(x, y)
-        target = t * d
-        if d == 0.0 or target <= 0.0:
-            return x
-        if target >= d:
-            return y
-        if exit_x is None:
-            off = x.offset + math.copysign(target, y.offset - x.offset)
-            return self.edge_point(x.edge, off)
-
-        (ax, lx), (ay, ly) = exit_x, entry_y
-        rem = target
-        # leg 1: along x's own edge toward the exit vertex
-        if x.edge is not None:
-            if rem < lx:
-                off = x.offset - rem if ax == self._elow[x.edge] else x.offset + rem
-                return self.edge_point(x.edge, off)
-            rem -= lx
-        # leg 2: along the vertex path
-        path = self._vertex_path(ax, ay)
-        for cur, nxt in zip(path, path[1:]):
-            eid = self._pair_edge[_edge_key(cur, nxt)]
-            ln = self._elen[eid]
-            if rem < ln:
-                off = rem if cur == self._elow[eid] else ln - rem
-                return self.edge_point(eid, off)
-            rem -= ln
-        # leg 3: into y's edge from the entry vertex
-        if y.edge is None:
-            return y
-        rem = min(rem, self._elen[y.edge])
-        off = rem if ay == self._elow[y.edge] else self._elen[y.edge] - rem
-        return self.edge_point(y.edge, off)
-
-    # the row forms loop over the scalar calls on sequences of tree points
+    def _route(self, xs: np.ndarray, ys: np.ndarray):
+        """Per row of two stacks: d(x, y), whether x and y share an edge,
+        the four anchor-pair path lengths (x-lower/y-lower, x-lower/y-upper,
+        x-upper/y-lower, x-upper/y-upper), and x's and y's codes and (2, k)
+        anchors, with x's lead-in lengths (see README.md)."""
+        cx, cy = xs[:, 0].astype(np.intp), ys[:, 0].astype(np.intp)
+        ox, oy = xs[:, 1], ys[:, 1]
+        ax, ay = self._ends[:, cx], self._ends[:, cy]
+        lx, ly = np.array([ox, self._len[cx] - ox]), np.array([oy, self._len[cy] - oy])
+        paths = ((lx[:, None] + self._dist_table[ax[:, None], ay]) + ly).reshape(4, -1)
+        same = (cx == cy) & (cx >= len(self.vertices))
+        d = np.where(same, np.abs(ox - oy), np.minimum.reduce(paths))
+        return d, same, paths, (cx, ax, lx), (cy, ay)
 
     def row_dist(self, xs, ys):
-        xs, ys = _object_rows(xs, ys)
-        return np.array([self.dist(x, y) for x, y in zip(xs, ys)], dtype=float)
+        return self._route(xs.reshape(-1, 2), ys.reshape(-1, 2))[0]
 
     def row_geodesic(self, xs, ys, t):
-        # each scalar call checks its own t
-        xs, ys, ts = _object_rows(xs, ys, t)
-        return np.array([self.geodesic_point(x, y, s) for x, y, s in zip(xs, ys, ts)],
-                        dtype=object)
+        # Each row starts at x, or at y once t d reaches d, and walks t d
+        # along the shortest path: x's own edge to its exit vertex, the vertex
+        # path by next hops, then y's edge from its entry vertex.  It stops on
+        # the first edge its remaining length ends inside, and _edge_rows
+        # snaps every row, which leaves a canonical x or y as it is.
+        t = _check_t(t)
+        xs, ys = xs.reshape(-1, 2), ys.reshape(-1, 2)
+        d, same, paths, (cx, ax, lx), (cy, ay) = self._route(xs, ys)
+        best = paths.argmin(axis=0)
+        up_x, up_y = best >= 2, (best & 1) == 1
+        ax, lx, ay = np.where(up_x, ax[1], ax[0]), np.where(up_x, lx[1], lx[0]), np.where(
+            up_y, ay[1], ay[0])
+        target = (t[:, 0] if isinstance(t, np.ndarray) else t) * d
+        ox, oy, lo, length = xs[:, 1], ys[:, 1], self._ends[0], self._len
+        moves = target > 0.0
+        left = moves & (target < d)
+        at_y = moves ^ left
+        code, off = np.where(at_y, cy, cx), np.where(at_y, oy, ox)
+        # rows that end on x's own edge: a shared edge, or short of x's exit
+        own = left & (same | (target < lx))
+        np.copyto(off, ox + np.copysign(target, np.where(same, oy - ox, np.where(
+            ax == lo[cx], -1.0, 1.0))), where=own)
+        left ^= own
+        rem = target - lx
+        cur = ax
+        walk = left & (cur != ay)
+        while walk.any():
+            e = self._hop[ay, cur]
+            ln = length[e]
+            stop = walk & (rem < ln)
+            np.copyto(code, e, where=stop)
+            np.copyto(off, np.where(cur == lo[e], rem, ln - rem), where=stop)
+            left ^= stop
+            walk ^= stop
+            np.subtract(rem, ln, out=rem, where=walk)
+            np.copyto(cur, self._parent[ay, cur], where=walk)
+            walk &= cur != ay
+        # rows that reach y's entry vertex end on y's edge, or at y itself
+        ln = length[cy]
+        r = np.minimum(rem, ln)
+        np.copyto(code, cy, where=left)
+        np.copyto(off, np.where(ay == lo[cy], r, ln - r), where=left)
+        return self._edge_rows(code, off)
 
     def _no_riemannian_maps(self, *args):
         raise NotImplementedError("metric trees have no Riemannian maps (exp, log, tangent norms)")
@@ -823,12 +804,11 @@ class MetricTree(Space):
         if not self.edges:
             return TreePoint(vertex=self.vertices[0])
         w = np.asarray(weights, dtype=float)
-        table = self._dist_table
-        # (n, V) atom-to-vertex distances, each through the atom's nearer exit
-        dv = np.array([np.min([lead + table[a] for a, lead in self._anchors(p)], axis=0)
-                       for p in map(self._canonical, points)])
-        length = np.asarray(self._elen)
-        lo, hi = list(self._elow), list(self._ehigh)
+        xs, n = self.stack(points), len(self.vertices)
+        # (atoms, V) atom-to-vertex distances, one row call over all pairs
+        vs = np.stack([np.arange(n), np.zeros(n)], axis=1)
+        dv = self.row_dist(np.repeat(xs, n, axis=0), np.tile(vs, (len(xs), 1))).reshape(-1, n)
+        (lo, hi), length = self._ends[:, n:], self._len[n:]
         pos = (dv[:, lo] ** 2 - dv[:, hi] ** 2 + length**2) / (2.0 * length)
         u = np.clip(w @ pos / w.sum(), 0.0, length)
         best = int(np.argmin(w @ (pos - u) ** 2))
@@ -850,7 +830,7 @@ class MetricTree(Space):
         if not step > 0:
             raise SpaceError("grid step must be > 0")
         pts = self.all_vertex_points()
-        for eid, ln in enumerate(self._elen):
+        for eid, (_, _, ln) in enumerate(self.edges):
             k = 1
             while k * step < ln:
                 pts.append(TreePoint(edge=eid, offset=k * step))
@@ -891,7 +871,7 @@ def product_l1_dist(space: Space, xs: Sequence, ys: Sequence) -> float:
     """L1 product metric on tuples: sum of coordinatewise distances."""
     if len(xs) != len(ys):
         raise SpaceError(f"tuple length mismatch: {len(xs)} vs {len(ys)}")
-    return sum(space.row_dist(np.array(xs), np.array(ys)).tolist())
+    return sum(space.row_dist(space.stack(xs), space.stack(ys)).tolist())
 
 
 _KINDS = {

@@ -179,6 +179,29 @@ def test_error_bound_near_the_sphere_cap_limit():
         assert space.dist(res.point, ref.point) <= res.error_bound + 1e-12
 
 
+@pytest.mark.parametrize("kappa", [1.0, 4.0])
+def test_sphere_bound_holds_on_weighted_caps_near_the_limit(kappa):
+    # atoms within 0.99 pi/(2 sqrt(kappa)) of the first, random integer
+    # masses, coarse tolerances: the ball of the certificate is widened by
+    # the bound itself, so that it holds the mean too
+    space = Sphere(kappa)
+    limit = math.pi / (2.0 * math.sqrt(kappa))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        atoms = [space.base_point()]
+        for _ in range(int(rng.integers(2, 6))):
+            v = rng.standard_normal(2)
+            atoms.append(space.exp_from_base(v / np.linalg.norm(v),
+                                             rng.uniform(0.0, 0.99) * limit))
+        masses = rng.integers(1, 6, size=len(atoms))
+        sample = WeightedSample(atoms, [f"{m}/{masses.sum()}" for m in masses])
+        tol = float(np.exp(rng.uniform(math.log(1e-3), math.log(3e-2))))
+        res = weighted_barycenter(space, sample, tol=tol)
+        ref = weighted_barycenter(space, sample, tol=1e-12)
+        assert res.error_bound <= tol
+        assert space.dist(res.point, ref.point) <= res.error_bound + ref.error_bound
+
+
 def test_sphere_certificate_uses_the_support_centred_ball():
     # the mean is pulled toward the heavy atom, more than a quarter turn from
     # the light one, so only the support-centred ball is inside the limit

@@ -524,8 +524,8 @@ def test_pac_rademacher_instance():
     assert rep.frequency >= 0.9
 
 
-def test_pac_trials_match_the_per_trial_recursion():
-    space = Hyperbolic(-1.0)
+@pytest.mark.parametrize("space", [Hyperbolic(-1.0), star_tree()], ids=["hyperbolic", "star-tree"])
+def test_pac_trials_match_the_per_trial_recursion(space):
     rng = np.random.default_rng(8)
     pts = [random_point(space, rng) for _ in range(6)]
     # a small c_pac keeps m small, so that some trials miss

@@ -44,7 +44,7 @@ def _draws(space, k=40, seed=11):
     """k points three ways from equal generators: one block, k successive
     one-point calls, and the per-point reference formulas."""
     rngs = [np.random.default_rng(seed) for _ in range(3)]
-    block = random_points(space, rngs[0], k)
+    block = space.unstack(random_points(space, rngs[0], k))
     singles = [random_point(space, rngs[1]) for _ in range(k)]
     refs = [_reference_point(space, rngs[2]) for _ in range(k)]
     # all three generators are left in the same state
