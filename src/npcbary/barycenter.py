@@ -43,6 +43,9 @@ DEFAULT_MAX_CYCLES = 100_000
 # the rounding level of the log maps it is formed from.
 STALL_REL = 4.0 * sys.float_info.epsilon
 
+# sample_diameter compares all pairs of at most this many points.
+DIAMETER_EXACT_CAP = 600
+
 
 class ConvergenceError(RuntimeError):
     """The fixed-point iteration exhausted max_cycles iterations, or its
@@ -145,15 +148,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(k[:, None] < k)
 
 
-def sample_diameter(space: Space, points: Sequence, exact_cap: int = 600) -> float:
-    """Diameter of a point set.  Exact (all pairs) up to ``exact_cap`` points;
-    beyond that the 2 * max_i d(x_0, x_i) upper bound is used, which only
-    loosens tolerances derived from it by at most a factor of two."""
+def sample_diameter(space: Space, points: Sequence) -> float:
+    """Diameter of a point set.  Exact (all pairs) up to DIAMETER_EXACT_CAP
+    points; beyond that the 2 * max_i d(x_0, x_i) upper bound is used, which
+    only loosens tolerances derived from it by at most a factor of two."""
     n = len(points)
     if n <= 1:
         return 0.0
     xs = space.stack(points)
-    if n <= exact_cap:
+    if n <= DIAMETER_EXACT_CAP:
         i, j = _pairs(n)
         return float(space.row_dist(xs[i], xs[j]).max())
     return 2.0 * float(space.row_dist(xs[0], xs[1:]).max())
@@ -265,9 +268,9 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
     ``tol=None`` is resolved only where the loop runs, to
     :func:`default_tolerance` over the atoms received.  Repeats do not change
     a diameter, so for an empirical sample this is the value over all its
-    points whenever there are at most 600 of them; beyond that it is the
-    exact diameter of the atoms (or, past 600 atoms, the same
-    2 * max d(x_0, .) bound), never larger than the bound over the points.
+    points whenever there are at most DIAMETER_EXACT_CAP of them; beyond
+    that it is the exact diameter of the atoms (or, past that many atoms, the
+    same 2 * max d(x_0, .) bound), never larger than the bound over the points.
     """
     if tol is not None and not tol > 0:
         raise SpaceError("tol must be > 0")

@@ -15,6 +15,7 @@ inversion, with ``min`` and ``sum`` exposed for study.
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable, Sequence
 
@@ -252,29 +253,20 @@ def subgaussian_tail(K: float, t: float) -> float:
     return min(1.0, 2.0 * math.exp(-(t * t) / (2.0 * K * K)))
 
 
-# CLI-facing dispatch: formula name -> (callable, required query fields)
-BOUND_EVALUATORS: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "subgaussian": (subgaussian_radius, ("K", "sigma", "n", "delta")),
-    "hoeffding": (hoeffding_radius, ("sigma", "C", "n", "delta")),
-    "bernstein": (bernstein_radius, ("sigma", "C", "n", "delta")),
-    "noniid_hoeffding": (noniid_hoeffding_radius, ("sigmas", "Cs", "n", "delta")),
-    "noniid_bernstein": (noniid_bernstein_radius, ("sigmas", "C", "n", "delta")),
-    "sturm_lln": (sturm_lln_bound, ("sigmas", "n")),
-    "pac_sample_size": (pac_sample_size, ("D", "eps_target", "delta")),
-    "pac_sample_size_bernstein": (
-        pac_sample_size_bernstein,
-        ("sigma2", "D", "eps_target", "delta"),
-    ),
-    "k_epsilon": (k_epsilon, ("kappa", "epsilon")),
-    "cat_kappa": (cat_kappa_radius, ("A", "p", "kappa", "epsilon", "n", "delta")),
-    "subgaussian_tail": (subgaussian_tail, ("K", "t")),
-}
-
-_OPTIONAL_FIELDS = {
-    "bernstein": ("combine",),
-    "noniid_bernstein": ("combine",),
-    "pac_sample_size": ("c_pac",),
-    "pac_sample_size_bernstein": ("c_pac",),
+# CLI-facing dispatch: formula name -> function; its parameters without a
+# default are the query's required fields, those with one its optional fields
+BOUND_EVALUATORS: dict[str, Callable] = {
+    "subgaussian": subgaussian_radius,
+    "hoeffding": hoeffding_radius,
+    "bernstein": bernstein_radius,
+    "noniid_hoeffding": noniid_hoeffding_radius,
+    "noniid_bernstein": noniid_bernstein_radius,
+    "sturm_lln": sturm_lln_bound,
+    "pac_sample_size": pac_sample_size,
+    "pac_sample_size_bernstein": pac_sample_size_bernstein,
+    "k_epsilon": k_epsilon,
+    "cat_kappa": cat_kappa_radius,
+    "subgaussian_tail": subgaussian_tail,
 }
 
 
@@ -282,12 +274,9 @@ def evaluate_bound(name: str, query: dict) -> float | int:
     """Evaluate a named formula from a BoundQuery-style mapping."""
     if name not in BOUND_EVALUATORS:
         raise ValueError(f"unknown bound {name!r} (known: {sorted(BOUND_EVALUATORS)})")
-    fn, required = BOUND_EVALUATORS[name]
-    missing = [f for f in required if f not in query]
+    fn = BOUND_EVALUATORS[name]
+    params = inspect.signature(fn).parameters.values()
+    missing = [p.name for p in params if p.default is p.empty and p.name not in query]
     if missing:
         raise ValueError(f"bound {name!r} needs fields {missing}")
-    kwargs = {f: query[f] for f in required}
-    for f in _OPTIONAL_FIELDS.get(name, ()):
-        if f in query:
-            kwargs[f] = query[f]
-    return fn(**kwargs)
+    return fn(**{p.name: query[p.name] for p in params if p.name in query})

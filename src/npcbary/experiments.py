@@ -75,7 +75,10 @@ LOCKSTEP_BLOCK = 128
 # instances this many at a time, so its memory does not grow with samples.
 PROPERTY_CHUNK = 1024
 
-# The radii a coverage run can check, evaluated through bounds.BOUND_EVALUATORS.
+# perturbed_tuple moves each point at most this fraction of the way to its target.
+PERTURB_SCALE = 0.3
+
+# The radii a coverage run can check, by their names for bounds.evaluate_bound.
 COVERAGE_BOUNDS = ("subgaussian", "hoeffding", "bernstein", "noniid_hoeffding", "noniid_bernstein")
 
 # The bound overrides _resolve_bound reads, with their JSON kinds.
@@ -715,13 +718,13 @@ def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
     return list(space.unstack(random_points(space, rng, n)))
 
 
-def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence, scale: float = 0.3) -> list:
-    """Move each point a random fraction of the way toward a fresh random
-    point; perturbation sizes vary per coordinate."""
+def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence) -> list:
+    """Move each point a random fraction, up to PERTURB_SCALE, of the way
+    toward a fresh random point; perturbation sizes vary per coordinate."""
     targets, ts = [], []
     for _ in xs:  # per point: its target's variates, then its fraction
         targets.append(_draw(space, rng))
-        ts.append(rng.uniform(0.0, scale))
+        ts.append(rng.uniform(0.0, PERTURB_SCALE))
     return list(space.unstack(space.row_geodesic(space.stack(xs), _place(space, targets),
                                                  np.array(ts))))
 
@@ -850,9 +853,7 @@ def npc_property_suite(
                 tx = inductive_barycenter(space, xs)
                 ty = inductive_barycenter(space, ys)
             else:
-                # the exact tree solve takes no tolerance
-                tol = None if isinstance(space, MetricTree) else (
-                    solver_tol_rel * (1.0 + sample_diameter(space, list(xs) + list(ys))))
+                tol = solver_tol_rel * (1.0 + sample_diameter(space, list(xs) + list(ys)))
                 rx = empirical_barycenter(space, xs, tol=tol)
                 ry = empirical_barycenter(space, ys, tol=tol)
                 tx, ty = rx.point, ry.point

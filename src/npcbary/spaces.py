@@ -47,6 +47,11 @@ def _over(theta: np.ndarray, fn) -> np.ndarray:
     return np.divide(theta, fn(theta), out=np.ones_like(theta), where=theta > 0)
 
 
+def _dot_rows(d: np.ndarray) -> np.ndarray:
+    """d_i . d_i for each row d_i of a stack."""
+    return np.einsum("ij,ij->i", d, d)
+
+
 # ---------------------------------------------------------------------------
 # base class
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ class Space:
         """Riemannian norm of the tangent vector vs[i] at xs[i] for each row
         i; by default the norm of the embedding space, which it is on
         Euclidean space and on the sphere."""
-        return np.sqrt(np.einsum("ij,ij->i", vs, vs))
+        return np.sqrt(_dot_rows(vs))
 
     def row_exp_from_base(self, directions, radii) -> np.ndarray:
         """exp_from_base of each row of a (k, dim) stack of directions, with
@@ -196,8 +201,7 @@ class Euclidean(Space):
         return (self.dim,)
 
     def row_dist(self, xs, ys):
-        d = xs - ys
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        return np.sqrt(_dot_rows(xs - ys))
 
     def row_geodesic(self, xs, ys, t):
         t = _check_t(t)
@@ -211,7 +215,7 @@ class Euclidean(Space):
 
 
 # ---------------------------------------------------------------------------
-# Hyperbolic (hyperboloid model)
+# model spaces: the hyperboloid and the sphere
 # ---------------------------------------------------------------------------
 
 
@@ -221,19 +225,67 @@ def _mink_rows(d: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Hyperbolic(Space):
-    """Hyperboloid sheet {x : <x,x>_M = 1/kappa, x_{d+1} > 0}, kappa < 0.
-
-    Distance is arccosh(kappa * <x,y>_M) / sqrt(-kappa).  Geodesics use the
-    closed form gamma(t) = cosh(t*s)*x + sinh(t*s)*u with s the rapidity
-    d(x,y)*sqrt(-kappa) and u the initial direction, re-projected onto the
-    sheet to control rounding drift.
-    """
+class _ModelSpace(Space):
+    """The model space of constant curvature kappa != 0, the quadric
+    kappa <x, x> = 1 in R^{dim+1}, with each map written once over rows (see
+    README.md).  A subclass gives its sine and cosine ``sn`` and ``cs`` and
+    its form ``_form`` (<d_i, d_i> per row) as unannotated class attributes,
+    so that they are not dataclass fields, and ``_angle(xs, ys, q)``: per
+    row, theta = d(x, y) sqrt|kappa| from q = <y - x, y - x>."""
 
     kappa: float
     dim: int = 2
 
+    @property
+    def point_shape(self) -> tuple:
+        return (self.dim + 1,)
+
+    def _chords(self, xs, ys):
+        """Per row, theta and the column u = y - cs(theta) x, formed as
+        (y - x) + (kappa q / 2) x since cs(theta) = 1 - kappa q / 2, free of
+        cancellation for nearby points."""
+        d = ys - xs
+        q = self._form(d)
+        return self._angle(xs, ys, q), d + (0.5 * self.kappa * q)[:, None] * xs
+
+    def _project(self, out):
+        """Each row divided by sqrt(kappa <out, out>), back onto the quadric
+        against rounding drift."""
+        return out / np.sqrt(self.kappa * self._form(out))[:, None]
+
+    def row_dist(self, xs, ys):
+        return self._angle(xs, ys, self._form(ys - xs)) / math.sqrt(abs(self.kappa))
+
+    def row_geodesic(self, xs, ys, t):
+        # a row whose theta is below 1e-14 stays at its x
+        t = _check_t(t)
+        theta, u = self._chords(xs, ys)
+        theta = theta[:, None]
+        moves = theta >= 1e-14
+        tt = t * theta
+        out = self.cs(tt) * xs + self.sn(tt) / np.where(moves, self.sn(theta), 1.0) * u
+        return np.where(moves, self._project(out), xs)
+
+    def log(self, x, ys):
+        theta, u = self._chords(x, ys)
+        return _over(theta, self.sn)[:, None] * u, theta / math.sqrt(abs(self.kappa))
+
+    def row_exp(self, xs, vs):
+        # a row whose tangent is zero stays at its x
+        theta = self.row_tangent_norm(xs, vs)[:, None] * math.sqrt(abs(self.kappa))
+        moves = theta > 0.0
+        out = self.cs(theta) * xs + self.sn(theta) / np.where(moves, theta, 1.0) * vs
+        return np.where(moves, self._project(out), xs)
+
+
+@dataclass(frozen=True)
+class Hyperbolic(_ModelSpace):
+    """Hyperboloid sheet {x : <x,x>_M = 1/kappa, x_{d+1} > 0}, kappa < 0, with
+    the Minkowski form <x,y>_M = x_1 y_1 + ... + x_d y_d - x_{d+1} y_{d+1}
+    and distance arccosh(kappa <x,y>_M) / sqrt(-kappa)."""
+
     kind = "hyperbolic"
+    sn, cs, _form = np.sinh, np.cosh, staticmethod(_mink_rows)
 
     def __post_init__(self):
         if not self.kappa < 0:
@@ -241,54 +293,16 @@ class Hyperbolic(Space):
         if self.dim < 1:
             raise SpaceError("hyperbolic: dimension must be >= 1")
 
-    @property
-    def point_shape(self) -> tuple:
-        return (self.dim + 1,)
-
     def base_point(self) -> np.ndarray:
         x = np.zeros(self.point_shape)
         x[-1] = 1.0 / math.sqrt(-self.kappa)
         return x
 
-    def _rapidity(self, xs, ys):
-        """Per row, the rapidity theta = d * sqrt(-kappa), with y - x and the
-        Minkowski chord q = <y - x, y - x>_M.  theta = 2 arcsinh of the half
-        chord equals arccosh(kappa <x,y>_M) but stays accurate for nearby
-        points, where arccosh loses half the significand to cancellation."""
-        d = ys - xs
-        q = np.maximum(_mink_rows(d), 0.0)
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(-self.kappa * q)), d, q
-
-    def row_dist(self, xs, ys):
-        return self._rapidity(xs, ys)[0] / math.sqrt(-self.kappa)
-
-    def row_geodesic(self, xs, ys, t):
-        # a row whose rapidity s is below 1e-14 stays at its x
-        t = _check_t(t)
-        s = self._rapidity(xs, ys)[0][:, None]
-        moves = s >= 1e-14
-        u = (ys - np.cosh(s) * xs) / np.where(moves, np.sinh(s), 1.0)
-        out = np.cosh(t * s) * xs + np.sinh(t * s) * u
-        q = self.kappa * _mink_rows(out)
-        out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
-        return np.where(moves, out, xs)
-
-    def log(self, x, ys):
-        # y - cosh(theta) x is formed as (y - x) + (kappa q / 2) x, since
-        # cosh(theta) - 1 = -kappa q / 2, free of cancellation for nearby pairs
-        theta, d, q = self._rapidity(x, ys)
-        u = d + (0.5 * self.kappa * q)[:, None] * x
-        return _over(theta, np.sinh)[:, None] * u, theta / math.sqrt(-self.kappa)
-
-    def row_exp(self, xs, vs):
-        # cosh(theta) x + (sinh(theta) / theta) v, re-projected onto the
-        # sheet; a row whose tangent is zero stays at its x
-        theta = self.row_tangent_norm(xs, vs)[:, None] * math.sqrt(-self.kappa)
-        moves = theta > 0.0
-        out = np.cosh(theta) * xs + np.sinh(theta) / np.where(moves, theta, 1.0) * vs
-        q = self.kappa * _mink_rows(out)
-        out /= np.sqrt(np.where(q > 0, q, 1.0))[:, None]
-        return np.where(moves, out, xs)
+    def _angle(self, xs, ys, q):
+        # 2 arcsinh of the half Minkowski chord equals arccosh(kappa <x,y>_M)
+        # but keeps the significand that arccosh loses for nearby points; a
+        # chord that rounds below 0 counts as 0
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(-self.kappa * q, 0.0)))
 
     def row_tangent_norm(self, xs, vs):
         # <v,v>_M = |v_s|^2 - v_t^2 cancels for long v, s the spatial and t
@@ -312,34 +326,23 @@ class Hyperbolic(Space):
         return None
 
 
-# ---------------------------------------------------------------------------
-# Sphere
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class Sphere(Space):
+class Sphere(_ModelSpace):
     """Round sphere of radius 1/sqrt(kappa) in R^{d+1}, kappa > 0, with the
     arc metric d(x,y) = arccos(kappa x.y) / sqrt(kappa).
 
-    Geodesics between antipodal points are not unique and raise
+    Geodesics and log maps between antipodal points are not unique and raise
     :class:`AntipodalError`.
     """
 
-    kappa: float
-    dim: int = 2
-
     kind = "sphere"
+    sn, cs, _form = np.sin, np.cos, staticmethod(_dot_rows)
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise SpaceError("sphere: curvature kappa must be > 0")
         if self.dim < 1:
             raise SpaceError("sphere: dimension must be >= 1")
-
-    @property
-    def point_shape(self) -> tuple:
-        return (self.dim + 1,)
 
     @property
     def radius(self) -> float:
@@ -350,54 +353,16 @@ class Sphere(Space):
         x[0] = self.radius
         return x
 
-    @staticmethod
-    def _angles(xs, ys):
-        """Per row, the angle theta = d * sqrt(kappa) at the center, twice the
-        angle between the chords y - x and y + x and so accurate for nearby
-        and near-antipodal pairs, with the chord y - x and its square."""
-        d = ys - xs
-        s = ys + xs
-        chord2 = np.einsum("ij,ij->i", d, d)
-        theta = 2.0 * np.arctan2(np.sqrt(chord2), np.sqrt(np.einsum("ij,ij->i", s, s)))
-        return theta, d, chord2
+    def _angle(self, xs, ys, q):
+        # twice the angle between the chords y - x and y + x, accurate for
+        # nearby and for near-antipodal points
+        return 2.0 * np.arctan2(np.sqrt(q), np.sqrt(_dot_rows(ys + xs)))
 
-    def row_dist(self, xs, ys):
-        return self._angles(xs, ys)[0] / math.sqrt(self.kappa)
-
-    def row_geodesic(self, xs, ys, t):
-        # gamma(t) = (sin((1 - t) omega) x + sin(t omega) y) / sin(omega),
-        # omega the angle at the center, rescaled onto the sphere; a row whose
-        # angle is below 1e-14 stays at its x
-        t = _check_t(t)
-        omega = self._angles(xs, ys)[0][:, None]
-        if omega.max() >= math.pi * (1.0 - 1e-9):
-            raise AntipodalError(
-                "antipodal sphere points: the connecting geodesic is not unique"
-            )
-        moves = omega >= 1e-14
-        out = np.sin((1.0 - t) * omega) * xs + np.sin(t * omega) * ys
-        out /= np.where(moves, np.sin(omega), 1.0)
-        nrm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
-        out *= self.radius / np.where(moves, nrm, 1.0)
-        return np.where(moves, out, xs)
-
-    def log(self, x, ys):
-        # y - cos(theta) x is formed as (y - x) + (kappa |y - x|^2 / 2) x,
-        # since 1 - cos(theta) = kappa |y - x|^2 / 2
-        theta, d, chord2 = self._angles(x, ys)
+    def _chords(self, xs, ys):
+        theta, u = super()._chords(xs, ys)
         if theta.max() >= math.pi * (1.0 - 1e-9):
-            raise AntipodalError("antipodal sphere points: the log map is not unique")
-        u = d + (0.5 * self.kappa * chord2)[:, None] * x
-        return _over(theta, np.sin)[:, None] * u, theta / math.sqrt(self.kappa)
-
-    def row_exp(self, xs, vs):
-        # cos(theta) x + (sin(theta) / theta) v, rescaled onto the sphere; a
-        # row whose tangent is zero stays at its x
-        theta = self.row_tangent_norm(xs, vs)[:, None] * math.sqrt(self.kappa)
-        moves = theta > 0.0
-        out = np.cos(theta) * xs + np.sin(theta) / np.where(moves, theta, 1.0) * vs
-        out *= self.radius / np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
-        return np.where(moves, out, xs)
+            raise AntipodalError("antipodal sphere points: the connecting geodesic is not unique")
+        return theta, u
 
     def _constraint_violation(self, q):
         nrm = math.sqrt(float(q @ q))

@@ -20,7 +20,15 @@ def npc_spaces():
 
 
 def all_spaces():
-    return npc_spaces() + [Sphere(1.0)]
+    return npc_spaces() + [Sphere(1.0), Hyperbolic(-2.5, 3), Sphere(4.0, 3)]
+
+
+def space_id(space) -> str:
+    """A test id: the space's kind, with kappa and dim on a hyperboloid or a
+    sphere of other than unit curvature and dimension 2."""
+    if isinstance(space, (Hyperbolic, Sphere)) and (abs(space.kappa), space.dim) != (1.0, 2):
+        return f"{space.kind}-kappa{space.kappa:g}-dim{space.dim}"
+    return space.kind
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from npcbary.experiments import (
 )
 from npcbary.presets import coverage_distribution, sphere_cap_distribution
 
-from conftest import all_spaces, npc_spaces, star_tree
+from conftest import all_spaces, npc_spaces, space_id, star_tree
 
 
 def test_inductive_is_running_mean(rng):
@@ -96,7 +96,7 @@ def test_empirical_tree_star_matches_brute_force():
     assert res.objective <= oracle.objective + 1e-3
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_two_point_barycenter_is_midpoint(space, rng):
     for _ in range(5):
         x, y = random_point(space, rng), random_point(space, rng)
@@ -234,7 +234,7 @@ def test_result_does_not_depend_on_atom_order():
 SMOOTH_SPACES = [s for s in all_spaces() if not isinstance(s, MetricTree)]
 
 
-@pytest.mark.parametrize("space", SMOOTH_SPACES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", SMOOTH_SPACES, ids=space_id)
 def test_repeats_solve_as_weighted_atoms(space, rng):
     for _ in range(3):
         atoms = random_tuple(space, rng, int(rng.integers(2, 6)))
@@ -267,7 +267,7 @@ def test_equal_arrays_collapse():
     assert np.max(np.abs(res.point - np.array([0.8, 0.2]))) <= 1e-12
 
 
-@pytest.mark.parametrize("space", SMOOTH_SPACES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", SMOOTH_SPACES, ids=space_id)
 def test_shared_objects_and_equal_copies_solve_alike(space, rng):
     # repeated objects are counted by identity, copies by value: the atoms,
     # their order and so the result are the same either way
@@ -409,7 +409,7 @@ def test_pairwise_variance_values():
     assert sigma_hat_sq <= pv <= 2 * sigma_hat_sq
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_pairwise_variance_universal_bounds(space, rng):
     """sigma^2 <= pairwise <= 4 sigma^2 holds in every metric space; the NPC
     variance inequality sharpens the lower bound to 2 sigma^2, with equality
@@ -464,7 +464,7 @@ def test_brute_force_needs_candidates():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("space", npc_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", npc_spaces(), ids=space_id)
 def test_barycenter_maps_are_lipschitz(space, rng):
     for _ in range(25):
         n = int(rng.integers(2, 11))

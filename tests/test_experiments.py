@@ -34,6 +34,7 @@ from npcbary.experiments import (
     draw_indices,
     random_point,
     random_points,
+    random_tuple,
     trial_rng,
 )
 from npcbary.presets import (
@@ -574,14 +575,15 @@ def test_property_suite_tree():
     assert rep.passed
 
 
-def test_property_suite_tree_takes_no_tolerance(monkeypatch):
-    # the exact tree solve ignores tol, so no diameter is computed for it
-    def no_diameter(*args, **kwargs):
-        raise AssertionError("sample_diameter called")
-
-    monkeypatch.setattr("npcbary.experiments.sample_diameter", no_diameter)
-    rep = npc_property_suite(star_tree(), samples=20, tuple_pairs=10, seed=2)
-    assert rep.passed
+def test_tree_solve_ignores_the_tolerance(rng):
+    # the property suite hands every space a tolerance; the exact tree solve
+    # returns the same point, with bound 0.0, whatever it is
+    tree = star_tree()
+    pts = random_tuple(tree, rng, 7)
+    exact = empirical_barycenter(tree, pts)
+    for tol in (1e-12, 1e-6, 0.5):
+        res = empirical_barycenter(tree, pts, tol=tol)
+        assert (res.point, res.iterations, res.error_bound) == (exact.point, 0, 0.0)
 
 
 @pytest.mark.parametrize("space", [SpdAffine(3), Hyperbolic(-1.0)], ids=repr)

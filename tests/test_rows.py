@@ -40,6 +40,39 @@ def test_scalar_calls_are_the_one_row_case(space, rng):
                               space.row_exp(space.base_point(), v))
 
 
+MODEL_SPACES = [Hyperbolic(-1.0), Hyperbolic(-2.5, 3), Sphere(1.0), Sphere(4.0, 3)]
+
+
+@pytest.mark.parametrize("space", MODEL_SPACES, ids=repr)
+def test_model_space_maps_match_the_textbook_formulas(space, rng):
+    # the textbook forms, evaluated point by point with the math module:
+    # theta = arccos or arccosh of kappa <x, y>, the geodesic
+    # (sn((1 - t) theta) x + sn(t theta) y) / sn(theta), the log map
+    # (theta / sn(theta)) (y - cs(theta) x) and the exponential
+    # cs(|v|) x + sn(|v|) v / |v|, |v| in units of the curvature radius
+    hyperbolic = isinstance(space, Hyperbolic)
+    sn, cs, arc = (math.sinh, math.cosh, math.acosh) if hyperbolic else (
+        math.sin, math.cos, math.acos)
+    sign = np.ones(space.point_shape)
+    if hyperbolic:
+        sign[-1] = -1.0
+    k = math.sqrt(abs(space.kappa))
+    for _ in range(50):
+        x, y = random_point(space, rng), random_point(space, rng)
+        tol = 1e-10 * (1.0 + float(np.abs(x).max() + np.abs(y).max()))
+        theta = arc(space.kappa * float(x @ (sign * y)))
+        assert abs(space.dist(x, y) - theta / k) <= tol
+        for t in (0.25, 0.5, 0.9):
+            ref = (sn((1.0 - t) * theta) * x + sn(t * theta) * y) / sn(theta)
+            assert np.abs(space.geodesic_point(x, y, t) - ref).max() <= tol
+        v = space.log(x, y[None])[0][0]
+        assert np.abs(v - theta / sn(theta) * (y - cs(theta) * x)).max() <= tol
+        w = 0.5 * v
+        r = k * math.sqrt(abs(float(w @ (sign * w))))
+        ref = cs(r) * x + sn(r) / r * w
+        assert np.abs(space.exp(x, w) - ref).max() <= tol
+
+
 class ReferenceTree:
     """The scalar formulas of a metric tree on TreePoints, kept as the
     reference its stack forms must match bit for bit: the vertex table from

@@ -24,7 +24,7 @@ from npcbary import (
 )
 from npcbary.experiments import _midpoint_excess_rows, random_point, random_points
 
-from conftest import all_spaces, npc_spaces, path_tree, star_tree
+from conftest import all_spaces, npc_spaces, space_id, path_tree, star_tree
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_payload_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("space", npc_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", npc_spaces(), ids=space_id)
 def test_midpoint_inequality_random(space, rng):
     for _ in range(400):
         x, y, z = (random_points(space, rng, 1) for _ in range(3))
@@ -190,7 +190,7 @@ def test_midpoint_inequality_random(space, rng):
         assert excess[0] <= 1e-8 * (1.0 + sq_scale[0])
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_constant_speed_and_endpoints(space, rng):
     for _ in range(300):
         x, y = random_point(space, rng), random_point(space, rng)
@@ -205,7 +205,7 @@ def test_constant_speed_and_endpoints(space, rng):
         assert gap <= 1e-8 * (1.0 + d)
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_geodesic_symmetry(space, rng):
     for _ in range(200):
         x, y = random_point(space, rng), random_point(space, rng)
@@ -215,7 +215,7 @@ def test_geodesic_symmetry(space, rng):
         assert space.dist(a, b) <= 1e-8 * (1.0 + space.dist(x, y))
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_metric_axioms_random(space, rng):
     for _ in range(200):
         x, y, z = (random_point(space, rng) for _ in range(3))
@@ -236,13 +236,13 @@ def test_sphere_arc_interpolation(rng):
     assert sph.dist(x, y) <= math.pi / math.sqrt(2.5) + 1e-12
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_random_points_validate(space, rng):
     for _ in range(100):
         assert space.validate_point(random_point(space, rng)) is None
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_geodesic_outputs_validate(space, rng):
     for _ in range(100):
         x, y = random_point(space, rng), random_point(space, rng)
@@ -343,13 +343,13 @@ def test_tree_has_no_riemannian_maps(name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_space_json_round_trip(space):
     again = space_from_json(json.loads(json.dumps(space_to_json(space))))
     assert again == space
 
 
-@pytest.mark.parametrize("space", all_spaces(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_point_json_round_trip(space, rng):
     for _ in range(20):
         p = random_point(space, rng)
