@@ -202,32 +202,37 @@ def empirical_barycenter(
     points: Sequence,
     tol: float | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
+    counts: Sequence[int] | None = None,
 ) -> BarycenterResult:
     """Frechet mean of a point set, with a certified error bound.
 
-    Exactly equal points are first merged into atoms weighted by their
-    counts, in first-seen order (arrays compare by their float bytes, tree
-    points by equality); the Frechet functional, and so its minimizer, is
-    unchanged.  The atoms are then solved by :func:`_frechet_mean`: the
-    result lies within ``error_bound`` <= ``tol`` of the Frechet mean,
-    ``iterations`` counts the fixed-point iterations after the warm start
-    and ``max_cycles`` bounds them.  Raises :class:`ConvergenceError` if
-    ``max_cycles`` iterations do not certify ``tol``, or once the steps
-    shrink to rounding with ``tol`` still uncertified.  Metric trees are
-    solved in closed form by :meth:`~npcbary.spaces.MetricTree.frechet_mean`,
-    with no iteration.
+    With ``counts``, ``points`` are atoms and ``counts[i]``, a positive int,
+    is the multiplicity of ``points[i]``.  Equal points merge into
+    count-weighted atoms as README.md ("Notes on the solver") describes, and
+    :func:`_frechet_mean` solves them: the result lies within
+    ``error_bound`` <= ``tol`` of the Frechet mean, ``iterations`` counts
+    the fixed-point iterations after the warm start and ``max_cycles``
+    bounds them.  Raises :class:`ConvergenceError` if ``max_cycles``
+    iterations do not certify ``tol``, or once the steps shrink to rounding
+    with ``tol`` still uncertified.
     """
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
-    # Draws from a finite support repeat the same objects, so they are counted
-    # by identity first, in one numpy pass, and only the distinct objects by
-    # value, in the order of their first draw.
-    ids = np.fromiter(map(id, points), dtype=np.uintp, count=n)
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    order = np.argsort(first)
+    if counts is None:
+        ids = np.fromiter(map(id, points), dtype=np.uintp, count=n)
+        _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        first, counts = first[order].tolist(), counts[order].tolist()
+    else:
+        first = range(n)
+        if len(counts) != n:
+            raise SpaceError(f"counts has {len(counts)} entries for {n} points")
+        for m in counts:
+            if type(m) is not int or m < 1:
+                raise SpaceError(f"counts must be positive ints, got {m!r}")
     atoms: dict = {}
-    for i, m in zip(first[order].tolist(), counts[order].tolist()):
+    for i, m in zip(first, counts):
         x = points[i]
         key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
         atoms.setdefault(key, [x, 0])[1] += m

@@ -406,14 +406,9 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     The boundedness center x0 is taken to be b* itself and C the largest
     support distance from it, the choice that minimizes C.  Each trial
     draws from its own stream.  Inductive trials advance in lockstep,
-    LOCKSTEP_BLOCK at a time.  An empirical trial is keyed by its measure,
-    the atoms drawn in first-seen order and their counts, and only the
-    first trial with a key is solved: one
-    :func:`~npcbary.barycenter.empirical_barycenter` call on the support's
-    own objects grouped by atom in that order, which merge into the atoms of
-    the raw draws, so its distance is bitwise the per-trial solve's.  Later
-    trials with the key reuse the distance.  A failing solve aborts the run
-    naming the first trial with that measure.
+    LOCKSTEP_BLOCK at a time.  Empirical trials are solved once per
+    distinct measure, as README.md ("Notes on the solver") describes; a
+    failing solve aborts the run naming the first trial with that measure.
     """
     t0 = time.perf_counter()
     space = config.space
@@ -435,9 +430,6 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
         trial_tol = config.tol
         if trial_tol is None:
             trial_tol = TRIAL_TOL_REL * (1.0 + D)
-        # the draws index an object array, which hands back the support's own
-        # objects for empirical_barycenter to count by identity
-        support = np.fromiter(atoms, dtype=object, count=len(atoms))
         positions = np.arange(config.n)
         solved = {}
         distances = []
@@ -450,9 +442,9 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
             order = np.argsort(first)[: np.count_nonzero(counts)]
             key = (order.tobytes(), counts[order].tobytes())
             if key not in solved:
-                grouped = np.repeat(support[order], counts[order]).tolist()
                 try:
-                    t_n = empirical_barycenter(space, grouped, tol=trial_tol).point
+                    t_n = empirical_barycenter(space, [atoms[i] for i in order.tolist()],
+                                               tol=trial_tol, counts=counts[order].tolist()).point
                 except ConvergenceError as exc:
                     raise ConvergenceError(
                         f"trial {t}: {exc}", exc.point, exc.displacement, exc.iterations

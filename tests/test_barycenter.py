@@ -1,6 +1,7 @@
 """Inductive and certified empirical barycenter estimators against closed
 forms and the brute-force oracle, plus variance estimators."""
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from npcbary import (
     SpaceError,
     SpdAffine,
     Sphere,
+    TreePoint,
     WeightedSample,
     brute_force_barycenter,
     empirical_barycenter,
@@ -281,6 +283,48 @@ def test_shared_objects_and_equal_copies_solve_alike(space, rng):
         res = empirical_barycenter(space, pts, tol=tol)
         assert np.array_equal(res.point, ref.point)
         assert (res.iterations, res.objective) == (ref.iterations, ref.objective)
+
+
+def assert_same_result(res, ref):
+    if isinstance(ref.point, TreePoint):
+        assert res.point == ref.point
+    else:
+        assert res.point.tobytes() == ref.point.tobytes()
+    assert (res.iterations, res.final_displacement, res.objective, res.error_bound) == (
+        ref.iterations, ref.final_displacement, ref.objective, ref.error_bound)
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+def test_counts_solve_as_the_expanded_draws(space, rng):
+    atoms = random_tuple(space, rng, 3)
+    labels = rng.integers(0, 3, size=50).tolist()
+    seen = list(dict.fromkeys(labels))  # the draws' atoms in first-seen order
+    cases = [
+        ([atoms[0]], [7]),
+        (atoms, [3, 1, 5]),
+        ([atoms[i] for i in seen], [labels.count(i) for i in seen]),
+        # a copy equal by value, and the same object again, merge into the first
+        (atoms + [copy.copy(atoms[1]), atoms[0]], [2, 4, 1, 3, 2]),
+    ]
+    tol = 1e-6 * (1.0 + sample_diameter(space, atoms))
+    for pts, counts in cases:
+        expanded = [x for x, m in zip(pts, counts) for _ in range(m)]
+        for t in (tol, None):
+            assert_same_result(empirical_barycenter(space, pts, tol=t, counts=counts),
+                               empirical_barycenter(space, expanded, tol=t))
+    draws = [atoms[i] for i in labels]
+    assert_same_result(empirical_barycenter(space, cases[2][0], tol=tol, counts=cases[2][1]),
+                       empirical_barycenter(space, draws, tol=tol))
+
+
+@pytest.mark.parametrize("counts", [
+    [1], [1, 2, 3], [], [1, 0], [2, -1], [True, 1], [1.0, 2], [Fraction(1), 2],
+    [np.int64(1), 2], ["1", 2], [1, None],
+])
+def test_bad_counts_rejected(counts):
+    pts = [np.array([0.0]), np.array([1.0])]
+    with pytest.raises(SpaceError, match="counts"):
+        empirical_barycenter(Euclidean(1), pts, counts=counts)
 
 
 def test_criterion_13_instance_takes_three_steps():

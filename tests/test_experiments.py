@@ -304,12 +304,13 @@ def test_empirical_trials_merge_support_points_equal_by_value():
     assert rep.distances == per_trial_empirical(cfg, rep.D)
 
 
-def measure_key(points):
+def measure_key(points, counts=None):
     """A trial's empirical measure: its distinct objects in first-seen order
-    and their counts."""
-    ids = [id(x) for x in points]
-    order = list(dict.fromkeys(ids))
-    return tuple(order), tuple(ids.count(i) for i in order)
+    and their counts, from draws or from atoms with their ``counts``."""
+    measure = {}
+    for x, m in zip(points, [1] * len(points) if counts is None else counts):
+        measure[id(x)] = measure.get(id(x), 0) + m
+    return tuple(measure), tuple(measure.values())
 
 
 def counting_solves(monkeypatch, fail_on=None):
@@ -318,7 +319,7 @@ def counting_solves(monkeypatch, fail_on=None):
     seen = []
 
     def solve(space, points, **kw):
-        seen.append(measure_key(points))
+        seen.append(measure_key(points, kw.get("counts")))
         if seen[-1] == fail_on:
             raise ConvergenceError("forced")
         return empirical_barycenter(space, points, **kw)
@@ -350,6 +351,23 @@ def test_shared_solve_error_names_the_first_trial_of_its_measure(monkeypatch):
     counting_solves(monkeypatch, fail_on=keys[first])
     with pytest.raises(ConvergenceError, match=f"^trial {first}: forced"):
         run_concentration(cfg)
+
+
+def test_criterion_13_trials_hand_the_solver_atoms_not_draws(monkeypatch):
+    dist = sphere_cap_distribution()
+    cfg = ExperimentConfig(distributions=[dist], n=10_000, estimator="empirical", trials=4,
+                           delta=0.1, seed=2024, tol=1e-4 * (1.0 + dist.diameter()))
+    sizes = []
+
+    def solve(space, points, **kw):
+        sizes.append(len(points))
+        return empirical_barycenter(space, points, **kw)
+
+    monkeypatch.setattr("npcbary.experiments.empirical_barycenter", solve)
+    rep = run_concentration(cfg)
+    assert sizes and max(sizes) <= len(dist.support)
+    monkeypatch.undo()
+    assert rep.distances == per_trial_empirical(cfg, rep.D)
 
 
 def test_lockstep_blocks_cover_every_trial():
