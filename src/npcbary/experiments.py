@@ -10,8 +10,8 @@ regardless of scheduling, and two runs of the same config and seed produce
 bitwise-identical distance lists.
 
 Trials hold their draws as indices into the stacked support, and random
-instances are drawn point by point and placed a block at a time; README.md
-("Notes on the solver") describes both.
+instances are drawn and placed a block at a time; README.md ("Notes on the
+solver") describes both.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .spaces import (
     SpaceError,
     SpdAffine,
     Sphere,
-    TreePoint,
     check_keys,
     point_from_json,
     read_field,
@@ -657,46 +656,64 @@ def run_pac(
 # ---------------------------------------------------------------------------
 
 
-def _draw(space: Space, rng: np.random.Generator) -> tuple:
-    """The raw variates of one random point, drawn from ``rng`` in the order
-    the point needs them; :func:`_place` puts them on the space."""
+def _point_draws(space: Space, rng: np.random.Generator):
+    """``(draw, place)`` for the spaces drawn a point at a time: ``draw()``
+    takes one point's variates from ``rng`` as a tuple, and ``place`` puts
+    the columns of a list of them on the space as one stack."""
     if isinstance(space, Euclidean):
-        return (rng.standard_normal(space.dim),)
-    if isinstance(space, SpdAffine):
-        return (rng.uniform(-1.0, 1.0, (space.p, space.p)),)
+        return lambda: (rng.standard_normal(space.dim),), lambda v: v
     if isinstance(space, (Hyperbolic, Sphere)):
-        v = rng.standard_normal(space.dim)
-        nrm = math.sqrt(float(v @ v))
-        if nrm == 0.0:
-            return v, 0.0  # the zero direction: the base point
         cap = 2.0 if isinstance(space, Hyperbolic) else math.pi / (4.0 * math.sqrt(space.kappa))
-        return v / nrm, rng.uniform(0.0, cap)
+
+        def draw():
+            v = rng.standard_normal(space.dim)
+            nrm = math.sqrt(float(v @ v))
+            # the zero direction is the base point, and draws no radius
+            return v, nrm or 1.0, cap * rng.random() if nrm else 0.0
+
+        return draw, lambda v, nrm, radii: space.row_exp_from_base(v / nrm[:, None], radii)
     if isinstance(space, MetricTree):
-        eid = int(rng.integers(len(space.edges)))
-        return eid, float(rng.uniform(0.0, space.edges[eid][2]))
+        lengths = space._len.tolist()  # edge lengths, by stack code
+
+        def draw():
+            code = int(rng.integers(len(space.edges))) + len(space.vertices)
+            return code, lengths[code] * rng.random()
+
+        return draw, space._edge_rows
     raise SpaceError(f"no random generator for space kind {space.kind!r}")
 
 
-def _place(space: Space, draws: Sequence[tuple]) -> np.ndarray:
-    """The stack of points that the raw variates ``draws`` of :func:`_draw`
-    stand for, placed on the space with one stacked call: the normals
-    themselves, one SPD exponential, one exp from the base point, or on a
-    tree the stack of the edge points, which ``stack`` snaps."""
-    if isinstance(space, MetricTree):
-        return space.stack([TreePoint(edge=eid, offset=off) for eid, off in draws])
-    first = np.array([d[0] for d in draws])
-    if isinstance(space, Euclidean):
-        return first
+def _draw_instances(space: Space, rng: np.random.Generator, k: int, points: int,
+                    uniforms: int = 0) -> tuple[list[np.ndarray], np.ndarray]:
+    """k instances of a layout, ``points`` random points then ``uniforms``
+    plain uniforms each, drawn from ``rng`` as a per-instance loop would
+    draw them (README.md, "Notes on the solver"): the stack of each of the
+    layout's points, placed as one block, and the (k, uniforms) uniforms."""
     if isinstance(space, SpdAffine):
-        return spd_exp(sym_part(first))
-    return space.row_exp_from_base(first, np.array([d[1] for d in draws]))
+        width = points * space.p ** 2
+        u = rng.random((k, width + uniforms))
+        mats = (-1.0 + 2.0 * u[:, :width]).reshape(k * points, space.p, space.p)
+        block, uniform = spd_exp(sym_part(mats)), u[:, width:]
+    elif isinstance(space, Euclidean) and not uniforms:
+        block, uniform = rng.standard_normal((k * points, space.dim)), np.empty((k, 0))
+    else:
+        draw, place = _point_draws(space, rng)
+        rows, uniform = [], np.empty((k, uniforms))
+        if uniforms:
+            for u in uniform:
+                rows += [draw() for _ in range(points)]
+                u[:] = rng.random(uniforms)
+        else:  # nothing to interleave
+            rows = [draw() for _ in range(k * points)]
+        block = place(*map(np.array, zip(*rows)))
+    return [block[j::points] for j in range(points)], uniform
 
 
 def random_points(space: Space, rng: np.random.Generator, k: int) -> np.ndarray:
     """A stack (``space.stack``) of k bounded, well-conditioned random
-    points of the given space: their raw variates are drawn point by point,
-    and the block is placed on the space at once."""
-    return _place(space, [_draw(space, rng) for _ in range(k)])
+    points of the given space, drawn and placed as README.md ("Notes on the
+    solver") describes."""
+    return _draw_instances(space, rng, k, 1)[0][0]
 
 
 def random_point(space: Space, rng: np.random.Generator):
@@ -713,12 +730,9 @@ def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
 def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence) -> list:
     """Move each point a random fraction, up to PERTURB_SCALE, of the way
     toward a fresh random point; perturbation sizes vary per coordinate."""
-    targets, ts = [], []
-    for _ in xs:  # per point: its target's variates, then its fraction
-        targets.append(_draw(space, rng))
-        ts.append(rng.uniform(0.0, PERTURB_SCALE))
-    return list(space.unstack(space.row_geodesic(space.stack(xs), _place(space, targets),
-                                                 np.array(ts))))
+    (targets,), u = _draw_instances(space, rng, len(xs), 1, 1)
+    return list(space.unstack(space.row_geodesic(space.stack(xs), targets,
+                                                 PERTURB_SCALE * u[:, 0])))
 
 
 @dataclass
@@ -733,14 +747,15 @@ class PropertyCheck:
     def ok(self) -> bool:
         return self.violations == 0
 
-    def record(self, excess: float, witness: Callable[[], dict], slack: float = 0.0):
-        """Fold in one instance: ``excess`` raises ``max_excess``, and above
-        ``slack`` it is a violation; the first violation keeps ``witness()``."""
-        self.max_excess = max(self.max_excess, excess)
-        if excess > slack:
-            self.violations += 1
-            if self.witness is None:
-                self.witness = witness()
+    def fold(self, excess: np.ndarray, witness: Callable[[int], dict], slack=0.0):
+        """Fold in a chunk of instances: each non-NaN ``excess`` raises
+        ``max_excess``, each not at most ``slack`` (NaN included) is a
+        violation, and the first violation keeps ``witness(i)`` of its row."""
+        self.max_excess = float(np.fmax.reduce(excess, initial=self.max_excess))
+        bad = ~(excess <= slack)
+        self.violations += int(np.count_nonzero(bad))
+        if self.witness is None and bad.any():
+            self.witness = witness(int(np.argmax(bad)))
 
     def to_json(self) -> dict:
         return {**asdict(self), "ok": self.ok}
@@ -805,34 +820,31 @@ def npc_property_suite(
     def to_json(row):  # a witness point, from its row of a stack
         return space.payload_to_json(space.unstack(row[None])[0])
 
-    # the instances' variates are drawn in the order of a per-instance loop,
-    # placed on the space PROPERTY_CHUNK instances at a time, and checked by
-    # row-wise calls
+    # the instances are drawn in the order of a per-instance loop, placed
+    # and checked PROPERTY_CHUNK at a time by row-wise calls
     midpoint = PropertyCheck("midpoint_inequality", samples)
     speed = PropertyCheck("constant_speed", samples)
     chunks = [min(PROPERTY_CHUNK, samples - start) for start in range(0, samples, PROPERTY_CHUNK)]
     for k in chunks:
-        P = random_points(space, rng, 3 * k)
-        X, Y, Z = P[0::3], P[1::3], P[2::3]
+        (X, Y, Z), _ = _draw_instances(space, rng, k, 3)
         excess, sq_scale = _midpoint_excess_rows(space, X, Y, Z)
-        for x, y, z, e, sq in zip(X, Y, Z, excess.tolist(), sq_scale.tolist()):
-            midpoint.record(e, lambda: {"x": to_json(x), "y": to_json(y), "z": to_json(z),
-                                        "excess": e},
-                            slack=1e-8 * (1.0 + sq))
+        midpoint.fold(excess, lambda i: {"x": to_json(X[i]), "y": to_json(Y[i]),
+                                         "z": to_json(Z[i]), "excess": float(excess[i])},
+                      slack=1e-8 * (1.0 + sq_scale))
     for k in chunks:
-        DX, DY, S, T = zip(*((_draw(space, rng), _draw(space, rng), rng.uniform(), rng.uniform())
-                             for _ in range(k)))
-        X, Y, S, T = _place(space, DX), _place(space, DY), np.array(S), np.array(T)
+        (X, Y), u = _draw_instances(space, rng, k, 2, 2)
+        S, T = u.T
         d = space.row_dist(X, Y)
         err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
                      - np.abs(S - T) * d)
-        for x, y, s, t, e, dxy in zip(X, Y, S.tolist(), T.tolist(), err.tolist(), d.tolist()):
-            speed.record(e - 1e-8 * (1.0 + dxy),
-                         lambda: {"x": to_json(x), "y": to_json(y), "s": s, "t": t, "error": e})
+        speed.fold(err - 1e-8 * (1.0 + d),
+                   lambda i: {"x": to_json(X[i]), "y": to_json(Y[i]), "s": float(S[i]),
+                              "t": float(T[i]), "error": float(err[i])})
     checks = [midpoint, speed]
 
     for estimator in ("inductive", "empirical"):
         check = PropertyCheck(f"lipschitz_{estimator}", tuple_pairs)
+        pairs = []  # per pair: n, d1 and the excess
         for _ in range(tuple_pairs):
             n = int(rng.integers(n_range[0], n_range[1] + 1))
             xs = random_tuple(space, rng, n)
@@ -850,8 +862,9 @@ def npc_property_suite(
                 ry = empirical_barycenter(space, ys, tol=tol)
                 tx, ty = rx.point, ry.point
                 slack += rx.error_bound + ry.error_bound
-            excess = space.dist(tx, ty) - d1 / n - slack
-            check.record(excess, lambda: {"n": n, "d1": d1, "excess": excess})
+            pairs.append((n, d1, space.dist(tx, ty) - d1 / n - slack))
+        check.fold(np.array([e for *_, e in pairs]),
+                   lambda i: dict(zip(("n", "d1", "excess"), pairs[i])))
         checks.append(check)
 
     return PropertySuiteReport(space_kind=space.kind, seed=seed, checks=checks)

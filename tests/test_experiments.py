@@ -26,9 +26,11 @@ from npcbary import (
     verify_subgaussian_witness,
 )
 from npcbary import bounds, empirical_barycenter, inductive_barycenter
+from npcbary.cli import main
 from npcbary.experiments import (
     LOCKSTEP_BLOCK,
     PROPERTY_CHUNK,
+    PropertyCheck,
     TRIAL_TOL_REL,
     _midpoint_excess_rows,
     draw_indices,
@@ -614,6 +616,82 @@ def test_property_suite_checks_in_chunks(space):
     excess, sq_scale = _midpoint_excess_rows(space, P[0::3], P[1::3], P[2::3])
     assert midpoint.max_excess == excess.max()
     assert midpoint.violations == np.count_nonzero(excess > 1e-8 * (1.0 + sq_scale))
+
+
+def _record_fold(check, excess, slack, witness):
+    """The per-instance fold that the chunk fold replaced: each excess
+    raises max_excess by Python's max, one above its slack is a violation,
+    and the first violation keeps its witness."""
+    for i, e in enumerate(excess.tolist()):
+        check.max_excess = max(check.max_excess, e)
+        if e > (slack[i] if np.ndim(slack) else slack):
+            check.violations += 1
+            if check.witness is None:
+                check.witness = witness(i)
+
+
+FOLD_CASES = {  # the chunks of excesses folded in turn
+    "no_violation": [np.array([-3.0, -1.0, -2.0])],
+    "first_row": [np.array([0.5, -1.0, 0.25])],
+    "last_row": [np.array([-1.0, -2.0, 0.75])],
+    "second_chunk": [np.array([-1.0, -0.5]), np.array([-2.0, 0.3, 0.9])],
+    "equal_excesses": [np.array([-1.0, 0.4, 0.4]), np.array([0.4])],
+}
+
+
+@pytest.mark.parametrize("per_row_slack", [False, True])
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_chunk_fold_equals_the_per_instance_fold(case, per_row_slack):
+    chunked, looped = PropertyCheck("check", 6), PropertyCheck("check", 6)
+    start = 0
+    for excess in FOLD_CASES[case]:
+        slack = np.linspace(0.1, 0.2, len(excess)) if per_row_slack else 0.0
+
+        def witness(i):  # the row's place across chunks tells witnesses apart
+            return {"row": start + i, "excess": float(excess[i])}
+
+        chunked.fold(excess, witness, slack=slack)
+        _record_fold(looped, excess, slack, witness)
+        start += len(excess)
+    assert chunked == looped
+    assert json.dumps(chunked.to_json()) == json.dumps(looped.to_json())
+
+
+NAN_ROWS = [100, 150, 200, 250]
+
+
+def _nan_distances(monkeypatch):
+    """Euclidean.row_dist returns NaN on rows NAN_ROWS of every call over at
+    least 300 rows: the property suite's chunks at samples=300, not the
+    Lipschitz check's tuples, diameters or solves."""
+    row_dist = Euclidean.row_dist
+
+    def patched(self, xs, ys):
+        d = row_dist(self, xs, ys)
+        if len(d) >= 300:
+            d[NAN_ROWS] = np.nan
+        return d
+
+    monkeypatch.setattr(Euclidean, "row_dist", patched)
+
+
+def test_nan_excess_is_a_violation(monkeypatch, capsys):
+    space = Euclidean(2)
+    P = random_points(space, np.random.default_rng(1), 900)
+    excess, _ = _midpoint_excess_rows(space, P[0::3], P[1::3], P[2::3])
+    assert npc_property_suite(space, samples=300, tuple_pairs=5, seed=1).passed
+    _nan_distances(monkeypatch)
+    rep = npc_property_suite(space, samples=300, tuple_pairs=5, seed=1)
+    midpoint, speed = rep.checks[:2]
+    assert midpoint.violations == speed.violations == len(NAN_ROWS)
+    assert not rep.passed
+    # max_excess is the max of the other rows
+    assert midpoint.max_excess == np.delete(excess, NAN_ROWS).max()
+    assert math.isfinite(speed.max_excess)
+    code = main(["check", "--space", "euclidean", "--samples", "300", "--tuple-pairs", "5",
+                 "--seed", "1"])
+    assert code != 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_property_suite_rejects_sphere():

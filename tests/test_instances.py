@@ -1,6 +1,6 @@
-"""Random instances are drawn point by point and placed on the space a block
-at a time; metric trees pass canonical points through unchanged and still
-validate and snap every other point."""
+"""Random instances are drawn in the stream order of a per-instance loop and
+placed on the space a block at a time; metric trees pass canonical points
+through unchanged and still validate and snap every other point."""
 
 import json
 import math
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from npcbary import Euclidean, Hyperbolic, SpaceError, SpdAffine, Sphere
-from npcbary.experiments import random_point, random_points
+from npcbary.experiments import (PERTURB_SCALE, _draw_instances, perturbed_tuple, random_point,
+                                 random_points)
 from npcbary.spaces import TreePoint, spd_exp, sym_part
 
 from conftest import path_tree, star_tree
@@ -20,24 +21,43 @@ CURVED_SPACES = [Hyperbolic(-1.0, 3), Hyperbolic(-2.5, 3), Hyperbolic(-0.1), Sph
                  Sphere(2.0, 3)]
 
 
-def _reference_point(space, rng):
-    """One point drawn and placed on its own by the per-point formulas: the
-    normals, the exponential of a symmetric matrix, the exp map at the base
-    point, or an edge point."""
+def _reference_point(space, rng, place=True):
+    """One point drawn by the per-point calls (``uniform`` for every uniform
+    variate) and placed on its own by the per-point formulas: the normals,
+    the exponential of a symmetric matrix, the exp map at the base point, or
+    an edge point.  With ``place=False``, its variates instead, as
+    :func:`_place_reference` takes them."""
     if isinstance(space, Euclidean):
         return rng.standard_normal(space.dim)
     if isinstance(space, SpdAffine):
-        return spd_exp(sym_part(rng.uniform(-1.0, 1.0, (space.p, space.p))))
+        m = rng.uniform(-1.0, 1.0, (space.p, space.p))
+        return spd_exp(sym_part(m)) if place else m
     if isinstance(space, (Hyperbolic, Sphere)):
         u = rng.standard_normal(space.dim)
         u /= math.sqrt(float(u @ u))
         hyp = isinstance(space, Hyperbolic)
+        r = rng.uniform(0.0, 2.0 if hyp else math.pi / (4.0 * math.sqrt(space.kappa)))
+        if not place:
+            return u, r
         v = np.zeros(space.point_shape)
-        v[slice(0, -1) if hyp else slice(1, None)] = rng.uniform(
-            0.0, 2.0 if hyp else math.pi / (4.0 * math.sqrt(space.kappa))) * u
+        v[slice(0, -1) if hyp else slice(1, None)] = r * u
         return space.exp(space.base_point(), v)
     eid = int(rng.integers(len(space.edges)))
-    return space.edge_point(eid, float(rng.uniform(0.0, space.edges[eid][2])))
+    off = float(rng.uniform(0.0, space.edges[eid][2]))
+    return space.edge_point(eid, off) if place else TreePoint(edge=eid, offset=off)
+
+
+def _place_reference(space, variates):
+    """The stack of the points whose variates ``_reference_point`` drew,
+    placed as one block."""
+    if isinstance(space, Euclidean):
+        return np.array(variates)
+    if isinstance(space, SpdAffine):
+        return spd_exp(sym_part(np.array(variates)))
+    if isinstance(space, (Hyperbolic, Sphere)):
+        dirs, radii = zip(*variates)
+        return space.row_exp_from_base(np.array(dirs), np.array(radii))
+    return space.stack(variates)
 
 
 def _draws(space, k=40, seed=11):
@@ -72,6 +92,46 @@ def test_block_matches_successive_draws_and_the_exp_map(space):
         assert space.validate_point(b) is None
 
 
+DRAW_SPACES = [Euclidean(3), SpdAffine(2), SpdAffine(3), Hyperbolic(-1.0, 3), Sphere(2.0, 3),
+               star_tree(), path_tree()]
+# points, then plain uniforms, per instance
+LAYOUTS = {"midpoint": (3, 0), "constant_speed": (2, 2), "perturbation": (1, 1), "points": (1, 0)}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("space", DRAW_SPACES, ids=repr)
+def test_layout_draws_equal_a_per_instance_loop_bitwise(space, layout):
+    points, uniforms = LAYOUTS[layout]
+    k = 37
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    stacks, u = _draw_instances(space, rng, k, points, uniforms)
+    variates, ref_u = [], []
+    for _ in range(k):
+        variates += [_reference_point(space, ref_rng, place=False) for _ in range(points)]
+        ref_u += [ref_rng.uniform() for _ in range(uniforms)]
+    ref = _place_reference(space, variates)
+    assert len(stacks) == points
+    for j, stack in enumerate(stacks):
+        assert stack.shape == ref[j::points].shape and np.array_equal(stack, ref[j::points])
+    assert u.shape == (k, uniforms) and np.array_equal(u.ravel(), ref_u)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("space", DRAW_SPACES, ids=repr)
+def test_perturbation_equals_a_per_point_loop_bitwise(space):
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    xs = random_points(space, rng, 9)
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    ys = perturbed_tuple(space, rng, space.unstack(xs))
+    targets, ts = [], []
+    for _ in range(9):  # per point: its target's variates, then its fraction
+        targets.append(_reference_point(space, ref_rng, place=False))
+        ts.append(ref_rng.uniform(0.0, PERTURB_SCALE))
+    ref = space.row_geodesic(xs, _place_reference(space, targets), np.array(ts))
+    assert np.array_equal(space.stack(ys), ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class _ZeroNormals:
     """A generator whose normals are all zero; it must not be asked for a
     radius once the direction is zero."""
@@ -81,6 +141,8 @@ class _ZeroNormals:
 
     def uniform(self, *args):
         raise AssertionError("a zero direction draws no radius")
+
+    random = uniform
 
 
 @pytest.mark.parametrize("space", CURVED_SPACES, ids=repr)
