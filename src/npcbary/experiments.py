@@ -694,17 +694,13 @@ def _draw_instances(space: Space, rng: np.random.Generator, k: int, points: int,
         u = rng.random((k, width + uniforms))
         mats = (-1.0 + 2.0 * u[:, :width]).reshape(k * points, space.p, space.p)
         block, uniform = spd_exp(sym_part(mats)), u[:, width:]
-    elif isinstance(space, Euclidean) and not uniforms:
-        block, uniform = rng.standard_normal((k * points, space.dim)), np.empty((k, 0))
     else:
         draw, place = _point_draws(space, rng)
         rows, uniform = [], np.empty((k, uniforms))
-        if uniforms:
-            for u in uniform:
-                rows += [draw() for _ in range(points)]
+        for u in uniform:
+            rows += [draw() for _ in range(points)]
+            if uniforms:
                 u[:] = rng.random(uniforms)
-        else:  # nothing to interleave
-            rows = [draw() for _ in range(k * points)]
         block = place(*map(np.array, zip(*rows)))
     return [block[j::points] for j in range(points)], uniform
 
@@ -758,7 +754,14 @@ class PropertyCheck:
             self.witness = witness(int(np.argmax(bad)))
 
     def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        # a non-finite excess, as a geometry fault gives, is written as null
+        # so that a failed check still makes a valid JSON report
+        def finite(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        witness = self.witness and {key: finite(v) for key, v in self.witness.items()}
+        return {**asdict(self), "max_excess": finite(self.max_excess), "witness": witness,
+                "ok": self.ok}
 
 
 @dataclass
@@ -844,7 +847,6 @@ def npc_property_suite(
 
     for estimator in ("inductive", "empirical"):
         check = PropertyCheck(f"lipschitz_{estimator}", tuple_pairs)
-        pairs = []  # per pair: n, d1 and the excess
         for _ in range(tuple_pairs):
             n = int(rng.integers(n_range[0], n_range[1] + 1))
             xs = random_tuple(space, rng, n)
@@ -862,9 +864,8 @@ def npc_property_suite(
                 ry = empirical_barycenter(space, ys, tol=tol)
                 tx, ty = rx.point, ry.point
                 slack += rx.error_bound + ry.error_bound
-            pairs.append((n, d1, space.dist(tx, ty) - d1 / n - slack))
-        check.fold(np.array([e for *_, e in pairs]),
-                   lambda i: dict(zip(("n", "d1", "excess"), pairs[i])))
+            excess = space.dist(tx, ty) - d1 / n - slack
+            check.fold(np.array([excess]), lambda _: {"n": n, "d1": d1, "excess": excess})
         checks.append(check)
 
     return PropertySuiteReport(space_kind=space.kind, seed=seed, checks=checks)

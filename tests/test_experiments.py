@@ -26,7 +26,7 @@ from npcbary import (
     verify_subgaussian_witness,
 )
 from npcbary import bounds, empirical_barycenter, inductive_barycenter
-from npcbary.cli import main
+from npcbary.cli import EXIT_CHECK_FAILED, main
 from npcbary.experiments import (
     LOCKSTEP_BLOCK,
     PROPERTY_CHUNK,
@@ -690,8 +690,20 @@ def test_nan_excess_is_a_violation(monkeypatch, capsys):
     assert math.isfinite(speed.max_excess)
     code = main(["check", "--space", "euclidean", "--samples", "300", "--tuple-pairs", "5",
                  "--seed", "1"])
-    assert code != 0
-    assert "Traceback" not in capsys.readouterr().err
+    assert code == EXIT_CHECK_FAILED  # with its report written
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    report = json.loads(out.out)
+    assert report["passed"] is False
+    assert report["checks"][0]["witness"]["excess"] is None
+
+
+def test_all_nan_check_writes_valid_json():
+    check = PropertyCheck("check", 2)
+    check.fold(np.array([np.nan, np.nan]), lambda i: {"row": i, "excess": math.nan})
+    obj = json.loads(json.dumps(check.to_json(), allow_nan=False))
+    assert (obj["violations"], obj["max_excess"], obj["ok"]) == (2, None, False)
+    assert obj["witness"] == {"row": 0, "excess": None}
 
 
 def test_property_suite_rejects_sphere():
