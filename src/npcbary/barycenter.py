@@ -4,10 +4,10 @@ Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
 but needs only geodesics, and many draws walk it in lockstep through the
 row-wise geodesic.  The empirical barycenter merges repeated points into
-atoms weighted by their counts and solves for the Frechet mean of those
-atoms; weighted barycenters solve the same problem for given weights.  On a
-metric tree, where the Frechet functional is a convex quadratic along each
-edge, the mean is computed exactly.
+atoms weighted by their counts, the weighted barycenter into atoms weighted
+by their summed weights, and one solver finds the Frechet mean of the
+atoms.  On a metric tree, where the Frechet functional is a convex
+quadratic along each edge, the mean is computed exactly.
 
 On the smooth spaces the solver is a warm start and a certified Karcher
 fixed point; README.md ("Notes on the solver") describes both.
@@ -206,39 +206,27 @@ def empirical_barycenter(
 ) -> BarycenterResult:
     """Frechet mean of a point set, with a certified error bound.
 
-    With ``counts``, ``points`` are atoms and ``counts[i]``, a positive int,
-    is the multiplicity of ``points[i]``.  Equal points merge into
-    count-weighted atoms as README.md ("Notes on the solver") describes, and
-    :func:`_frechet_mean` solves them: the result lies within
-    ``error_bound`` <= ``tol`` of the Frechet mean, ``iterations`` counts
-    the fixed-point iterations after the warm start and ``max_cycles``
-    bounds them.  Raises :class:`ConvergenceError` if ``max_cycles``
-    iterations do not certify ``tol``, or once the steps shrink to rounding
-    with ``tol`` still uncertified.
+    ``counts[i]``, a positive int, is the multiplicity of ``points[i]``;
+    without ``counts`` each point counts once.  :func:`_frechet_mean` merges
+    equal points into count-weighted atoms and solves them: the result lies
+    within ``error_bound`` <= ``tol`` of the Frechet mean, ``iterations``
+    counts the fixed-point iterations after the warm start and
+    ``max_cycles`` bounds them.  Raises :class:`ConvergenceError` if
+    ``max_cycles`` iterations do not certify ``tol``, or once the steps
+    shrink to rounding with ``tol`` still uncertified.
     """
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
     if counts is None:
-        ids = np.fromiter(map(id, points), dtype=np.uintp, count=n)
-        _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        first, counts = first[order].tolist(), counts[order].tolist()
+        counts = [1] * n
     else:
-        first = range(n)
         if len(counts) != n:
             raise SpaceError(f"counts has {len(counts)} entries for {n} points")
         for m in counts:
             if type(m) is not int or m < 1:
                 raise SpaceError(f"counts must be positive ints, got {m!r}")
-    atoms: dict = {}
-    for i, m in zip(first, counts):
-        x = points[i]
-        key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
-        atoms.setdefault(key, [x, 0])[1] += m
-    xs, counts = zip(*atoms.values())
-    s, iterations, step, bound, objective = _frechet_mean(space, xs, counts, tol, max_cycles)
-    return BarycenterResult(s, iterations, step, objective, bound)
+    return _frechet_mean(space, points, counts, tol, max_cycles)
 
 
 def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
@@ -249,59 +237,52 @@ def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
 
 
 def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fraction],
-                  tol: float | None, max_cycles: int):
-    """Frechet mean of atoms with positive masses m_i, int counts or exact
-    Fraction weights, weights w_i = m_i / sum m, each rounded once to a
-    float.  Returns the point, the iterations, the length of the
-    last step, the error bound and the objective sum_i w_i d(x_i, point)^2,
-    whose distances the last log map already holds.  A single atom, and a
-    metric tree, which returns its exact weighted mean, take no iterations
-    and bound 0.0.
+                  tol: float | None, max_cycles: int) -> BarycenterResult:
+    """Frechet mean of the measure with mass ``masses[i]`` >= 0, an int count
+    or an exact Fraction, at ``points[i]``.
 
-    The warm start is one pass of the weighted recursion, stepping toward
-    atom i with t = m_i / W, W the running total of the masses including
-    this visit; for two atoms it is the mean.  Each iteration then forms
-    g = sum_i w_i log_s x_i, returns once :func:`_error_bound` certifies
-    d(s, b*) <= tol, and otherwise steps s <- exp_s(alpha g), alpha from
-    :func:`_step_size`.  It gives up after ``max_cycles`` iterations, or
-    after a step no longer than STALL_REL (1 + max_i d(s, x_i)), which moves
-    s no further than rounding does.  On a sphere the certificate's ball is
-    the smaller of the one centred at s, radius max_i d(s, x_i), and the
-    :func:`support_ball` widened to reach s, read from the log map's
-    distance to its centre.
+    Equal points merge into one atom, in first-seen order and kept as the
+    first such object; zero masses drop; each weight m_i / sum m is rounded
+    once to a float.  A single atom, and a metric tree (its exact weighted
+    mean), take no iterations and bound 0.0.  The smooth spaces, where a
+    stack is its own sequence of points, run the "Warm start" and "Fixed
+    point" of README.md ("Notes on the solver") over the atoms' stack.
 
-    ``tol=None`` is resolved only where the loop runs, to
-    :func:`default_tolerance` over the atoms received.  Repeats do not change
-    a diameter, so for an empirical sample this is the value over all its
-    points whenever there are at most DIAMETER_EXACT_CAP of them; beyond
-    that it is the exact diameter of the atoms (or, past that many atoms, the
-    same 2 * max d(x_0, .) bound), never larger than the bound over the points.
+    ``tol=None`` is resolved to :func:`default_tolerance` over the atoms,
+    only where the loop runs.  Repeats do not change a diameter, so this is
+    the value over all the points whenever there are at most
+    DIAMETER_EXACT_CAP of them, and never larger beyond.
     """
     if tol is not None and not tol > 0:
         raise SpaceError("tol must be > 0")
     if max_cycles < 0:
         raise SpaceError(f"max_cycles must be >= 0, got {max_cycles}")
+    atoms: dict = {}
+    for x, m in zip(points, masses):
+        if m > 0:
+            key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
+            atoms.setdefault(key, [x, 0])[1] += m
+    points, masses = zip(*atoms.values())
     if len(points) == 1:
-        return points[0], 0, 0.0, 0.0, 0.0
+        return BarycenterResult(points[0], 0, 0.0, 0.0, 0.0)
+    total = sum(masses)
+    weights = [float(m / total) for m in masses]
+    xs = space.stack(points)
     if isinstance(space, MetricTree):
-        total = sum(masses)
-        weights = [float(m / total) for m in masses]
         s = space.frechet_mean(points, weights)
         (row,) = space.stack([s])
-        r = space.row_dist(space.stack(points), row).tolist()
-        return s, 0, 0.0, 0.0, sum(w * ri**2 for w, ri in zip(weights, r))
+        r = space.row_dist(xs, row).tolist()
+        return BarycenterResult(s, 0, 0.0, sum(w * ri**2 for w, ri in zip(weights, r)), 0.0)
     if tol is None:
-        tol = default_tolerance(space, points)
+        tol = default_tolerance(space, xs)
 
-    geodesic = space.geodesic_point
-    s = points[0]
-    total = masses[0]
-    for x, m in zip(points[1:], masses[1:]):
-        total += m
-        s = geodesic(s, x, float(m / total))
-    weights = np.array([float(m / total) for m in masses])
-    xs = space.stack(points)
-    ball = support_ball(space, points) if isinstance(space, Sphere) else None
+    row, running = xs[:1], masses[0]
+    for k, m in enumerate(masses[1:], start=1):
+        running += m
+        row = space.row_geodesic(row, xs[k : k + 1], float(m / running))
+    s = space.unstack(row)[0]
+    weights = np.array(weights)
+    ball = support_ball(space, xs) if isinstance(space, Sphere) else None
     step = 0.0
     for iteration in itertools.count():
         vs, r = space.log(s, xs)
@@ -312,7 +293,7 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
             radius = min(radius, max(ball[1], float(r[ball[0]])))
         bound = _error_bound(space, g_norm, radius)
         if bound <= tol:
-            return s, iteration, step, bound, float(weights @ r**2)
+            return BarycenterResult(s, iteration, step, float(weights @ r**2), bound)
         # a step below the rounding of the distances it came from moves s no
         # further, so a bound still above tol is as low as it gets
         if iteration >= max_cycles or iteration and step <= STALL_REL * (1.0 + float(r.max())):
@@ -374,18 +355,14 @@ def weighted_barycenter(
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> BarycenterResult:
     """Barycenter of a rationally weighted sample by :func:`_frechet_mean`,
-    which takes the exact weights as the atoms' masses; zero-weight atoms
-    are skipped.  The result lies within ``error_bound`` <= ``tol`` of the
-    weighted Frechet mean.
+    which takes the exact weights as the masses of the sample's points, so
+    equal points merge and zero weights drop.  The result lies within
+    ``error_bound`` <= ``tol`` of the weighted Frechet mean.
 
     For two points with weights (1-t, t) the result is
     ``geodesic_point(x, y, t)``, certified at the warm start.
     """
-    points, masses = zip(*(
-        (x, w) for x, w in zip(sample.points, sample.resolved_weights()) if w > 0
-    ))
-    s, iterations, step, bound, objective = _frechet_mean(space, points, masses, tol, max_cycles)
-    return BarycenterResult(s, iterations, step, objective, bound)
+    return _frechet_mean(space, sample.points, sample.resolved_weights(), tol, max_cycles)
 
 
 def frechet_variance(space: Space, sample: WeightedSample, b) -> float:

@@ -194,10 +194,8 @@ def pac_sample_size_bernstein(
     return max(1, m)
 
 
-def k_epsilon(kappa: float, epsilon: float) -> float:
-    """Strong-convexity modulus (pi - 2*sqrt(kappa)*eps) * tan(eps*sqrt(kappa))
-    of the squared distance on balls of radius pi/(2*sqrt(kappa)) - eps in a
-    CAT(kappa) space, kappa > 0.  Lies in (0, 2) on the open domain."""
+def _check_epsilon(kappa: float, epsilon: float) -> tuple[float, float]:
+    """kappa > 0 and epsilon in (0, pi/(2*sqrt(kappa))), as floats."""
     kappa = _check_pos(kappa, "kappa")
     epsilon = _real(epsilon, "epsilon")
     limit = math.pi / (2.0 * math.sqrt(kappa))
@@ -205,6 +203,14 @@ def k_epsilon(kappa: float, epsilon: float) -> float:
         raise ValueError(
             f"epsilon must be in (0, pi/(2*sqrt(kappa))) = (0, {limit}), got {epsilon}"
         )
+    return kappa, epsilon
+
+
+def k_epsilon(kappa: float, epsilon: float) -> float:
+    """Strong-convexity modulus (pi - 2*sqrt(kappa)*eps) * tan(eps*sqrt(kappa))
+    of the squared distance on balls of radius pi/(2*sqrt(kappa)) - eps in a
+    CAT(kappa) space, kappa > 0.  Lies in (0, 2) on the open domain."""
+    kappa, epsilon = _check_epsilon(kappa, epsilon)
     sk = math.sqrt(kappa)
     return (math.pi - 2.0 * sk * epsilon) * math.tan(epsilon * sk)
 
@@ -227,14 +233,8 @@ def cat_kappa_radius(
     p = _check_pos(p, "p")
     n = _check_n(n)
     delta = _check_delta(delta)
-    kappa = _check_pos(kappa, "kappa")
-    epsilon = _real(epsilon, "epsilon")
+    kappa, epsilon = _check_epsilon(kappa, epsilon)
     sk = math.sqrt(kappa)
-    limit = math.pi / (2.0 * sk)
-    if not 0.0 < epsilon < limit:
-        raise ValueError(
-            f"epsilon must be in (0, pi/(2*sqrt(kappa))) = (0, {limit}), got {epsilon}"
-        )
     tn = math.tan(epsilon * sk)
     bias = 288.0 * math.sqrt(A) / (sk * tn) * math.sqrt(p / n)
     stoch = (

@@ -163,14 +163,8 @@ def cmd_experiment(args) -> int:
 def cmd_check(args) -> int:
     if args.space == "spd":
         space = SpdAffine(args.p)
-    elif args.space == "euclidean":
-        space = presets.default_space("euclidean")
-    elif args.space == "hyperbolic":
-        space = presets.default_space("hyperbolic")
-    elif args.space == "tree":
-        space = presets.demo_tree()
     else:
-        raise SpaceError(f"check supports the NPC spaces {_CHECK_SPACES}")
+        space = presets.default_space("metric_tree" if args.space == "tree" else args.space)
     report = npc_property_suite(
         space, samples=args.samples, seed=args.seed, tuple_pairs=args.tuple_pairs
     )

@@ -359,17 +359,17 @@ def _trial_draws(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
     return draws
 
 
-def _block_distances(space: Space, b_star, trials: int, draws, estimate) -> list[float]:
-    """d(T, b*) for trials 0, ..., trials - 1, LOCKSTEP_BLOCK at a time:
-    ``estimate(idx)`` stacks the estimates of a block of trials from the
-    index matrix of their ``draws``, and their distances to b* are one
-    row-wise call."""
+def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[float]:
+    """d(T_n, b*) of the inductive barycenter for trials 0, ..., trials - 1,
+    LOCKSTEP_BLOCK at a time: :func:`inductive_rows` walks a block of trials
+    from the index matrix of their ``draws`` into the stack ``support``, and
+    their distances to b* are one row-wise call."""
     (b_row,) = space.stack([b_star])
     out = []
     for start in range(0, trials, LOCKSTEP_BLOCK):
         block = range(start, min(start + LOCKSTEP_BLOCK, trials))
         idx = np.stack([draws(t) for t in block])
-        out += space.row_dist(estimate(idx), b_row).tolist()
+        out += space.row_dist(inductive_rows(space, support, idx), b_row).tolist()
     return out
 
 
@@ -422,9 +422,7 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     atoms = [x for d in dists for x in d.support]
     draws = _trial_draws(config)
     if config.estimator == "inductive":
-        support = space.stack(atoms)
-        distances = _block_distances(space, b_star, config.trials, draws,
-                                     lambda idx: inductive_rows(space, support, idx))
+        distances = _block_distances(space, b_star, config.trials, draws, space.stack(atoms))
     else:
         trial_tol = config.tol
         if trial_tol is None:
@@ -629,10 +627,9 @@ def run_pac(
     else:
         m = bounds.pac_sample_size(D, eps_target, delta, c_pac)
 
-    support = space.stack(points)
     distances = _block_distances(space, b_star, trials,
                                  lambda t: trial_rng(seed, t).integers(0, n, size=m),
-                                 lambda idx: inductive_rows(space, support, idx))
+                                 space.stack(points))
     successes = sum(d <= eps_target for d in distances)
     freq = successes / trials
     return PacReport(

@@ -271,7 +271,7 @@ def test_equal_arrays_collapse():
 
 @pytest.mark.parametrize("space", SMOOTH_SPACES, ids=space_id)
 def test_shared_objects_and_equal_copies_solve_alike(space, rng):
-    # repeated objects are counted by identity, copies by value: the atoms,
+    # repeated objects and equal copies both merge by value: the atoms,
     # their order and so the result are the same either way
     atoms = random_tuple(space, rng, 3)
     shared = [atoms[i] for i in rng.integers(0, 3, size=40)]
@@ -315,6 +315,14 @@ def test_counts_solve_as_the_expanded_draws(space, rng):
     draws = [atoms[i] for i in labels]
     assert_same_result(empirical_barycenter(space, cases[2][0], tol=tol, counts=cases[2][1]),
                        empirical_barycenter(space, draws, tol=tol))
+
+
+def test_points_as_one_array_solve_as_their_rows(rng):
+    # each access to an array's row makes a new object, so only a merge by
+    # value counts the rows right
+    xs = rng.standard_normal((4, 2))[[0, 1, 0, 2, 3, 1]]
+    assert_same_result(empirical_barycenter(Euclidean(2), xs, tol=1e-9),
+                       empirical_barycenter(Euclidean(2), list(xs), tol=1e-9))
 
 
 @pytest.mark.parametrize("counts", [
@@ -402,6 +410,17 @@ def test_weighted_uniform_equals_empirical(rng):
     a = weighted_barycenter(space, WeightedSample(pts), tol=1e-12)
     b = empirical_barycenter(space, pts, tol=1e-12)
     assert np.max(np.abs(a.point - b.point)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+def test_weighted_equal_points_merge(space, rng):
+    # a copy equal by value merges into the first point, and a zero weight drops
+    a, b, c = random_tuple(space, rng, 3)
+    sample = WeightedSample([a, b, copy.copy(a), c, b],
+                            (Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 2), 0))
+    merged = WeightedSample([a, b, c], (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    assert_same_result(weighted_barycenter(space, sample, tol=1e-9),
+                       weighted_barycenter(space, merged, tol=1e-9))
 
 
 def test_weighted_degenerate_weight():
