@@ -3,11 +3,11 @@
 Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
 but needs only geodesics, and many draws walk it in lockstep through the
-row-wise geodesic.  The empirical barycenter merges repeated points into
-atoms weighted by their counts, the weighted barycenter into atoms weighted
-by their summed weights, and one solver finds the Frechet mean of the
-atoms.  On a metric tree, where the Frechet functional is a convex
-quadratic along each edge, the mean is computed exactly.
+row-wise geodesic.  The empirical and the weighted barycenter are the
+Frechet mean of a measure, which one solver finds from its merged atoms in
+an order of its own, so the order of the points does not reach the result.
+On a metric tree, where the Frechet functional is a convex quadratic along
+each edge, the mean is computed exactly.
 
 On the smooth spaces the solver is a warm start and a certified Karcher
 fixed point; README.md ("Notes on the solver") describes both.
@@ -33,7 +33,6 @@ from .spaces import (
     SpaceError,
     SpdAffine,
     Sphere,
-    TreePoint,
     _over,
 )
 
@@ -207,13 +206,13 @@ def empirical_barycenter(
     """Frechet mean of a point set, with a certified error bound.
 
     ``counts[i]``, a positive int, is the multiplicity of ``points[i]``;
-    without ``counts`` each point counts once.  :func:`_frechet_mean` merges
-    equal points into count-weighted atoms and solves them: the result lies
-    within ``error_bound`` <= ``tol`` of the Frechet mean, ``iterations``
-    counts the fixed-point iterations after the warm start and
-    ``max_cycles`` bounds them.  Raises :class:`ConvergenceError` if
-    ``max_cycles`` iterations do not certify ``tol``, or once the steps
-    shrink to rounding with ``tol`` still uncertified.
+    without ``counts`` each point counts once.  :func:`_frechet_mean` solves
+    the count-weighted atoms, so only the multiset of points, not their
+    order, reaches the result: it lies within ``error_bound`` <= ``tol`` of
+    the Frechet mean after ``iterations`` <= ``max_cycles`` fixed-point
+    iterations.  Raises :class:`ConvergenceError` if ``max_cycles``
+    iterations do not certify ``tol``, or once the steps shrink to rounding
+    with ``tol`` still uncertified.
     """
     n = len(points)
     if n < 1:
@@ -233,7 +232,23 @@ def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
     """The best support-centred ball: the index c of the point of ``points``
     that minimizes max_i d(x_c, x_i), the first on ties, and that radius."""
     xs = space.stack(points)
-    return min(enumerate(float(space.row_dist(x, xs).max()) for x in xs), key=lambda b: b[1])
+    i, j = np.divmod(np.arange(len(xs) ** 2), len(xs))
+    radii = space.row_dist(xs[i], xs[j]).reshape(len(xs), -1).max(axis=1)
+    return int(np.argmin(radii)), float(radii.min())
+
+
+def _merge(xs: np.ndarray, masses: Sequence[int | Fraction]) -> tuple[np.ndarray, list]:
+    """The atoms of the measure with mass ``masses[i]`` >= 0 at row i of the
+    stack ``xs``, in the sorted order of the rows' float bytes: for each
+    distinct row, its first index and its exact total mass, if not zero."""
+    rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
+    _, first, group = np.unique(rows.view(f"V{rows[0].nbytes}")[:, 0],
+                                return_index=True, return_inverse=True)
+    sums = [0] * len(first)
+    for g, m in zip(group.tolist(), masses):
+        sums[g] += m
+    keep = [g for g, m in enumerate(sums) if m > 0]
+    return first[keep], [sums[g] for g in keep]
 
 
 def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fraction],
@@ -241,12 +256,12 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
     """Frechet mean of the measure with mass ``masses[i]`` >= 0, an int count
     or an exact Fraction, at ``points[i]``.
 
-    Equal points merge into one atom, in first-seen order and kept as the
-    first such object; zero masses drop; each weight m_i / sum m is rounded
-    once to a float.  A single atom, and a metric tree (its exact weighted
-    mean), take no iterations and bound 0.0.  The smooth spaces, where a
-    stack is its own sequence of points, run the "Warm start" and "Fixed
-    point" of README.md ("Notes on the solver") over the atoms' stack.
+    The atoms are :func:`_merge`'s, each kept as its first point, so a
+    measure gives the same bits in any order of its points.  Each weight
+    m_i / sum m is rounded once to a float.  A single atom, and a metric
+    tree (its exact weighted mean), take no iterations and bound 0.0.  The
+    smooth spaces run the "Warm start" and "Fixed point" of README.md
+    ("Notes on the solver") over the atoms' stack.
 
     ``tol=None`` is resolved to :func:`default_tolerance` over the atoms,
     only where the loop runs.  Repeats do not change a diameter, so this is
@@ -257,31 +272,24 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         raise SpaceError("tol must be > 0")
     if max_cycles < 0:
         raise SpaceError(f"max_cycles must be >= 0, got {max_cycles}")
-    atoms: dict = {}
-    for x, m in zip(points, masses):
-        if m > 0:
-            key = x if isinstance(x, TreePoint) else np.asarray(x, dtype=float).tobytes()
-            atoms.setdefault(key, [x, 0])[1] += m
-    points, masses = zip(*atoms.values())
-    if len(points) == 1:
-        return BarycenterResult(points[0], 0, 0.0, 0.0, 0.0)
-    total = sum(masses)
-    weights = [float(m / total) for m in masses]
     xs = space.stack(points)
+    first, masses = _merge(xs, masses)
+    if len(first) == 1:
+        return BarycenterResult(points[first[0]], 0, 0.0, 0.0, 0.0)
+    total = sum(masses)
+    weights = np.array([float(m / total) for m in masses])
+    xs = xs[first]
     if isinstance(space, MetricTree):
-        s = space.frechet_mean(points, weights)
-        (row,) = space.stack([s])
-        r = space.row_dist(xs, row).tolist()
-        return BarycenterResult(s, 0, 0.0, sum(w * ri**2 for w, ri in zip(weights, r)), 0.0)
+        s = space.frechet_mean([points[i] for i in first.tolist()], weights)
+        r = space.row_dist(xs, space.stack([s]))
+        return BarycenterResult(s, 0, 0.0, float(weights @ r**2), 0.0)
     if tol is None:
         tol = default_tolerance(space, xs)
-
     row, running = xs[:1], masses[0]
     for k, m in enumerate(masses[1:], start=1):
         running += m
         row = space.row_geodesic(row, xs[k : k + 1], float(m / running))
     s = space.unstack(row)[0]
-    weights = np.array(weights)
     ball = support_ball(space, xs) if isinstance(space, Sphere) else None
     step = 0.0
     for iteration in itertools.count():
@@ -355,13 +363,10 @@ def weighted_barycenter(
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> BarycenterResult:
     """Barycenter of a rationally weighted sample by :func:`_frechet_mean`,
-    which takes the exact weights as the masses of the sample's points, so
-    equal points merge and zero weights drop.  The result lies within
-    ``error_bound`` <= ``tol`` of the weighted Frechet mean.
-
-    For two points with weights (1-t, t) the result is
-    ``geodesic_point(x, y, t)``, certified at the warm start.
-    """
+    the exact weights being the masses of its points: within
+    ``error_bound`` <= ``tol`` of the weighted Frechet mean.  For two points
+    with weights (1-t, t) the warm start reaches the geodesic point at t,
+    and is certified there."""
     return _frechet_mean(space, sample.points, sample.resolved_weights(), tol, max_cycles)
 
 

@@ -405,9 +405,9 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     The boundedness center x0 is taken to be b* itself and C the largest
     support distance from it, the choice that minimizes C.  Each trial
     draws from its own stream.  Inductive trials advance in lockstep,
-    LOCKSTEP_BLOCK at a time.  Empirical trials are solved once per
-    distinct measure, as README.md ("Notes on the solver") describes; a
-    failing solve aborts the run naming the first trial with that measure.
+    LOCKSTEP_BLOCK at a time.  Empirical trials are keyed by their counts,
+    as README.md ("Notes on the solver") describes, and solved once per key;
+    a failing solve aborts the run naming the first trial with that key.
     """
     t0 = time.perf_counter()
     space = config.space
@@ -424,24 +424,16 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     if config.estimator == "inductive":
         distances = _block_distances(space, b_star, config.trials, draws, space.stack(atoms))
     else:
-        trial_tol = config.tol
-        if trial_tol is None:
-            trial_tol = TRIAL_TOL_REL * (1.0 + D)
-        positions = np.arange(config.n)
-        solved = {}
-        distances = []
+        trial_tol = TRIAL_TOL_REL * (1.0 + D) if config.tol is None else config.tol
+        solved, distances = {}, []
         for t in range(config.trials):
-            idx = draws(t)
-            counts = np.bincount(idx, minlength=len(atoms))
-            first = np.full(len(atoms), config.n)
-            np.minimum.at(first, idx, positions)
-            # the drawn atoms in first-seen order; the others sort last
-            order = np.argsort(first)[: np.count_nonzero(counts)]
-            key = (order.tobytes(), counts[order].tobytes())
+            counts = np.bincount(draws(t), minlength=len(atoms))
+            key = counts.tobytes()
             if key not in solved:
+                drawn = np.flatnonzero(counts)
                 try:
-                    t_n = empirical_barycenter(space, [atoms[i] for i in order.tolist()],
-                                               tol=trial_tol, counts=counts[order].tolist()).point
+                    t_n = empirical_barycenter(space, [atoms[i] for i in drawn.tolist()],
+                                               tol=trial_tol, counts=counts[drawn].tolist()).point
                 except ConvergenceError as exc:
                     raise ConvergenceError(
                         f"trial {t}: {exc}", exc.point, exc.displacement, exc.iterations

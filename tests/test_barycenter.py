@@ -27,7 +27,7 @@ from npcbary import (
     product_l1_dist,
     weighted_barycenter,
 )
-from npcbary.barycenter import as_fraction, frechet_objective, sample_diameter
+from npcbary.barycenter import _merge, as_fraction, frechet_objective, sample_diameter
 from npcbary.experiments import (
     draw_indices,
     perturbed_tuple,
@@ -317,6 +317,26 @@ def test_counts_solve_as_the_expanded_draws(space, rng):
                        empirical_barycenter(space, draws, tol=tol))
 
 
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+def test_a_measure_solves_alike_in_any_order(space, rng):
+    # the solver orders the atoms itself, so the order in which a measure's
+    # points arrive does not reach the result's bits
+    for _ in range(3):
+        atoms = random_tuple(space, rng, 4)
+        counts = [int(m) for m in rng.integers(1, 6, size=4)]
+        weights = [Fraction(m, sum(counts)) for m in counts]
+        draws = [atoms[i] for i in range(4) for _ in range(counts[i])]
+        tol = 1e-6 * (1.0 + sample_diameter(space, atoms))
+        ref = empirical_barycenter(space, atoms, tol=tol, counts=counts)
+        for perm in itertools.permutations(range(4)):
+            assert_same_result(empirical_barycenter(space, [atoms[i] for i in perm], tol=tol,
+                                                    counts=[counts[i] for i in perm]), ref)
+            sample = WeightedSample([atoms[i] for i in perm], [weights[i] for i in perm])
+            assert_same_result(weighted_barycenter(space, sample, tol=tol), ref)
+            shuffled = [draws[i] for i in rng.permutation(len(draws))]
+            assert_same_result(empirical_barycenter(space, shuffled, tol=tol), ref)
+
+
 def test_points_as_one_array_solve_as_their_rows(rng):
     # each access to an array's row makes a new object, so only a merge by
     # value counts the rows right
@@ -583,7 +603,9 @@ def test_tree_frechet_mean_matches_grid_oracle(shape, ids, weights, rng):
             pts.append(tree.vertex_point(tree.vertices[0]))
             ws = (Fraction(1, len(pts)),) * len(pts)
         sample = WeightedSample(pts, ws)
-        mean = tree.frechet_mean(pts, [float(w) for w in ws])
+        # the solver's atoms and weights: its merge's order, and masses summing to 1
+        first, masses = _merge(tree.stack(pts), sample.resolved_weights())
+        mean = tree.frechet_mean([pts[i] for i in first], [float(m) for m in masses])
         assert weighted_barycenter(tree, sample).point == mean
         oracle = min(tree.grid_points(step), key=lambda c: frechet_variance(tree, sample, c))
         assert frechet_variance(tree, sample, mean) <= frechet_variance(tree, sample, oracle) + 1e-12

@@ -307,12 +307,12 @@ def test_empirical_trials_merge_support_points_equal_by_value():
 
 
 def measure_key(points, counts=None):
-    """A trial's empirical measure: its distinct objects in first-seen order
-    and their counts, from draws or from atoms with their ``counts``."""
+    """A trial's empirical measure: its distinct objects with their counts,
+    in any order, from draws or from atoms with their ``counts``."""
     measure = {}
     for x, m in zip(points, [1] * len(points) if counts is None else counts):
         measure[id(x)] = measure.get(id(x), 0) + m
-    return tuple(measure), tuple(measure.values())
+    return tuple(sorted(measure.items()))
 
 
 def counting_solves(monkeypatch, fail_on=None):
