@@ -183,17 +183,26 @@ def inductive_barycenter(space: Space, points: Sequence):
     return space.unstack(rows)[0]
 
 
-def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
+                   lengths: np.ndarray | None = None) -> np.ndarray:
     """The inductive recursion on every row of the index matrix ``idx`` at
     once, row i's points being ``support[idx[i]]``, ``support`` a stack
     (``space.stack``), and the result the stack of the rows' iterates.  All
     rows advance together through the space's row-wise geodesic, gathering
-    step k's points from column k, so no (rows, n, point) array is built."""
+    step k's points from column k, so no (rows, n, point) array is built.
+
+    Row i's iterate is read after ``lengths[i]`` points, 1 <= lengths[i] <=
+    the width of ``idx``, by default the full width; the columns past it are
+    padding, walked with the other rows but never read."""
     cols = np.ascontiguousarray(idx.T)
     s = support[cols[0]]
+    out = None if lengths is None else s.copy()
     for k, col in enumerate(cols[1:], start=2):
         s = space.row_geodesic(s, support[col], 1.0 / k)
-    return s
+        if out is not None:
+            live = lengths >= k
+            out[live] = s[live]
+    return s if out is None else out
 
 
 def empirical_barycenter(

@@ -30,7 +30,7 @@ from .barycenter import (
     WeightedSample,
     empirical_barycenter,
     frechet_variance,
-    inductive_barycenter,
+    inductive_barycenter,  # not called here; perfbench's tracer and self-test patch it here
     inductive_rows,
     sample_diameter,
     support_ball,
@@ -52,7 +52,6 @@ from .spaces import (
     space_to_json,
     spd_exp,
     sym_part,
-    product_l1_dist,
 )
 
 # Statistical pass thresholds use a z = 3 normal-approximation slack:
@@ -690,7 +689,7 @@ def _draw_instances(space: Space, rng: np.random.Generator, k: int, points: int,
             rows += [draw() for _ in range(points)]
             if uniforms:
                 u[:] = rng.random(uniforms)
-        block = place(*map(np.array, zip(*rows)))
+        block = place(*map(np.array, zip(*rows))) if rows else space.stack([])
     return [block[j::points] for j in range(points)], uniform
 
 
@@ -712,12 +711,17 @@ def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
     return list(space.unstack(random_points(space, rng, n)))
 
 
+def _perturb(space: Space, xs: np.ndarray, targets: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row of the stack ``xs`` moved the fraction PERTURB_SCALE * u[i, 0]
+    of the way toward row i of ``targets``: one perturbation instance each."""
+    return space.row_geodesic(xs, targets, PERTURB_SCALE * u[:, 0])
+
+
 def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence) -> list:
     """Move each point a random fraction, up to PERTURB_SCALE, of the way
     toward a fresh random point; perturbation sizes vary per coordinate."""
     (targets,), u = _draw_instances(space, rng, len(xs), 1, 1)
-    return list(space.unstack(space.row_geodesic(space.stack(xs), targets,
-                                                 PERTURB_SCALE * u[:, 0])))
+    return list(space.unstack(_perturb(space, space.stack(xs), targets, u)))
 
 
 @dataclass
@@ -797,7 +801,13 @@ def npc_property_suite(
     """Randomized verification of the structural properties that hold in
     non-positively curved spaces: the midpoint inequality, constant-speed
     geodesics, and the (1/n)-Lipschitz property of both barycenter maps under
-    the L1 product metric.
+    the L1 product metric, on ``tuple_pairs`` pairs of n-tuples per map, n
+    uniform on the ints ``n_range`` = (lo, hi), 1 <= lo <= hi.
+
+    The Lipschitz pairs are drawn first, in the stream order of a per-pair
+    loop, and then perturbed and measured together; both tuples of every
+    inductive pair walk one :func:`inductive_rows` call, while the empirical
+    pairs are solved a pair at a time (README.md, "Notes on the solver").
 
     Positively curved spaces are rejected; the midpoint inequality is exactly
     what they fail.
@@ -807,6 +817,9 @@ def npc_property_suite(
     for name, count in (("samples", samples), ("tuple_pairs", tuple_pairs)):
         if count < 1:
             raise SpaceError(f"{name} must be >= 1, got {count}")
+    if not (isinstance(n_range, (tuple, list)) and len(n_range) == 2
+            and all(type(v) is int for v in n_range) and 1 <= n_range[0] <= n_range[1]):
+        raise SpaceError(f"n_range must be two ints lo, hi with 1 <= lo <= hi, got {n_range!r}")
     rng = np.random.default_rng(seed)
 
     def to_json(row):  # a witness point, from its row of a stack
@@ -832,29 +845,51 @@ def npc_property_suite(
         speed.fold(err - 1e-8 * (1.0 + d),
                    lambda i: {"x": to_json(X[i]), "y": to_json(Y[i]), "s": float(S[i]),
                               "t": float(T[i]), "error": float(err[i])})
-    checks = [midpoint, speed]
 
-    for estimator in ("inductive", "empirical"):
-        check = PropertyCheck(f"lipschitz_{estimator}", tuple_pairs)
-        for _ in range(tuple_pairs):
-            n = int(rng.integers(n_range[0], n_range[1] + 1))
-            xs = random_tuple(space, rng, n)
-            ys = perturbed_tuple(space, rng, xs)
-            d1 = product_l1_dist(space, xs, ys)
-            # the inductive maps are exact up to rounding; the empirical ones
-            # also carry each solve's certified distance to the true mean
-            slack = 1e-8 * (1.0 + d1)
-            if estimator == "inductive":
-                tx = inductive_barycenter(space, xs)
-                ty = inductive_barycenter(space, ys)
-            else:
-                tol = solver_tol_rel * (1.0 + sample_diameter(space, list(xs) + list(ys)))
-                rx = empirical_barycenter(space, xs, tol=tol)
-                ry = empirical_barycenter(space, ys, tol=tol)
-                tx, ty = rx.point, ry.point
-                slack += rx.error_bound + ry.error_bound
-            excess = space.dist(tx, ty) - d1 / n - slack
-            check.fold(np.array([excess]), lambda _: {"n": n, "d1": d1, "excess": excess})
+    # the pairs of the inductive check, then the empirical one's, drawn in
+    # the order of a per-pair loop: pair i's n, its tuple xs and the
+    # perturbation that moves xs to ys; the geometry follows for all at once
+    P = tuple_pairs
+    pairs = []
+    for _ in range(2 * P):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        xs = random_points(space, rng, n)
+        (targets,), u = _draw_instances(space, rng, n, 1, 1)
+        pairs.append((n, xs, targets, u))
+    ns, tuples, targets, fractions = zip(*pairs)
+    X = np.concatenate(tuples)
+    Y = _perturb(space, X, np.concatenate(targets), np.concatenate(fractions))
+    ends = np.cumsum(ns)
+    starts = ends - ns
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    d = space.row_dist(X, Y).tolist()
+    d1s = [sum(d[a:b]) for a, b in spans]  # in product_l1_dist's order
+
+    # both tuples of each inductive pair walk one recursion, each padded to
+    # the longest by repeating its last point
+    lengths = np.tile(ns[:P], 2)
+    first = np.concatenate([starts[:P], len(X) + starts[:P]])
+    idx = first[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    bary = space.unstack(inductive_rows(space, np.concatenate([X, Y]), idx, lengths))
+    # each pair's two barycenters and the sum of their certified distances
+    # to the true means, 0.0 for the exact inductive maps
+    solved = [(bary[i], bary[P + i], 0.0) for i in range(P)]
+    for a, b in spans[P:]:
+        xs, ys = list(space.unstack(X[a:b])), list(space.unstack(Y[a:b]))
+        tol = solver_tol_rel * (1.0 + sample_diameter(space, xs + ys))
+        rx = empirical_barycenter(space, xs, tol=tol)
+        ry = empirical_barycenter(space, ys, tol=tol)
+        solved.append((rx.point, ry.point, rx.error_bound + ry.error_bound))
+
+    checks = [midpoint, speed]
+    for estimator, at in (("inductive", 0), ("empirical", P)):
+        # the slack allows rounding, 1e-8 (1 + d1), and the certificates
+        excess = np.array([
+            space.dist(tx, ty) - d1s[i] / ns[i] - (1e-8 * (1.0 + d1s[i]) + bound)
+            for i, (tx, ty, bound) in enumerate(solved[at:at + P], start=at)])
+        check = PropertyCheck(f"lipschitz_{estimator}", P)
+        check.fold(excess, lambda j: {"n": ns[at + j], "d1": d1s[at + j],
+                                      "excess": float(excess[j])})
         checks.append(check)
 
     return PropertySuiteReport(space_kind=space.kind, seed=seed, checks=checks)

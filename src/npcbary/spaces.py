@@ -72,8 +72,10 @@ class Space:
 
     def stack(self, points) -> np.ndarray:
         """The array the row forms compute on, for a sequence of points: on
-        the array spaces, the points stacked along a leading axis."""
-        return np.array(points)
+        the array spaces, the points stacked along a leading axis, and no
+        points the empty (0, *point_shape) stack."""
+        xs = np.array(points)
+        return xs if len(xs) else xs.reshape(0, *self.point_shape)
 
     def unstack(self, stack):
         """The points of a stack, indexed like its rows: on the array spaces,

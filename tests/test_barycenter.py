@@ -27,17 +27,40 @@ from npcbary import (
     product_l1_dist,
     weighted_barycenter,
 )
-from npcbary.barycenter import _merge, as_fraction, frechet_objective, sample_diameter
+from npcbary.barycenter import (
+    _merge,
+    as_fraction,
+    frechet_objective,
+    inductive_rows,
+    sample_diameter,
+)
 from npcbary.experiments import (
     draw_indices,
     perturbed_tuple,
     random_point,
+    random_points,
     random_tuple,
     trial_rng,
 )
 from npcbary.presets import coverage_distribution, sphere_cap_distribution
 
 from conftest import all_spaces, npc_spaces, space_id, star_tree
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+def test_inductive_rows_read_each_row_at_its_length(space, rng):
+    support = random_points(space, rng, 12)
+    points = space.unstack(support)
+    lengths = np.array([1, 5, 3, 7, 7, 2, 6])
+    # the columns past a row's length are arbitrary padding, never read
+    idx = rng.integers(len(support), size=(len(lengths), 7))
+    rows = space.unstack(inductive_rows(space, support, idx, lengths))
+    full = space.unstack(inductive_rows(space, support, idx))
+    for row, last, i, m in zip(rows, full, idx, lengths):
+        expect = inductive_barycenter(space, [points[j] for j in i[:m]])
+        assert space.stack([row]).tobytes() == space.stack([expect]).tobytes()
+        if m == idx.shape[1]:
+            assert space.stack([last]).tobytes() == space.stack([expect]).tobytes()
 
 
 def test_inductive_is_running_mean(rng):

@@ -25,7 +25,8 @@ from npcbary import (
     verify_sturm_lln,
     verify_subgaussian_witness,
 )
-from npcbary import bounds, empirical_barycenter, inductive_barycenter
+from npcbary import bounds, empirical_barycenter, inductive_barycenter, product_l1_dist
+from npcbary.barycenter import sample_diameter
 from npcbary.cli import EXIT_CHECK_FAILED, main
 from npcbary.experiments import (
     LOCKSTEP_BLOCK,
@@ -34,6 +35,7 @@ from npcbary.experiments import (
     TRIAL_TOL_REL,
     _midpoint_excess_rows,
     draw_indices,
+    perturbed_tuple,
     random_point,
     random_points,
     random_tuple,
@@ -51,7 +53,7 @@ from npcbary.presets import (
     witness_distribution,
 )
 
-from conftest import star_tree
+from conftest import npc_spaces, space_id, star_tree
 
 
 def rademacher():
@@ -704,6 +706,76 @@ def test_all_nan_check_writes_valid_json():
     obj = json.loads(json.dumps(check.to_json(), allow_nan=False))
     assert (obj["violations"], obj["max_excess"], obj["ok"]) == (2, None, False)
     assert obj["witness"] == {"row": 0, "excess": None}
+
+
+def _lipschitz_per_pair(space, seed, tuple_pairs, n_range, solver_tol_rel=1e-6):
+    """The two Lipschitz checks of npc_property_suite(space, samples=1, ...),
+    each pair drawn, perturbed, solved and folded in turn by the public
+    helpers, and each check's excesses in pair order."""
+    rng = np.random.default_rng(seed)
+    random_points(space, rng, 3)  # the midpoint instance
+    random_points(space, rng, 2)  # the constant-speed instance, then s and t
+    rng.random(2)
+    checks, excesses = [], []
+    for estimator in ("inductive", "empirical"):
+        check, excess = PropertyCheck(f"lipschitz_{estimator}", tuple_pairs), []
+        for _ in range(tuple_pairs):
+            n = int(rng.integers(n_range[0], n_range[1] + 1))
+            xs = random_tuple(space, rng, n)
+            ys = perturbed_tuple(space, rng, xs)
+            d1 = product_l1_dist(space, xs, ys)
+            slack = 1e-8 * (1.0 + d1)
+            if estimator == "inductive":
+                tx, ty = inductive_barycenter(space, xs), inductive_barycenter(space, ys)
+            else:
+                tol = solver_tol_rel * (1.0 + sample_diameter(space, xs + ys))
+                rx = empirical_barycenter(space, xs, tol=tol)
+                ry = empirical_barycenter(space, ys, tol=tol)
+                tx, ty = rx.point, ry.point
+                slack += rx.error_bound + ry.error_bound
+            e = space.dist(tx, ty) - d1 / n - slack
+            check.fold(np.array([e]), lambda _: {"n": n, "d1": d1, "excess": e})
+            excess.append(e)
+        checks.append(check)
+        excesses.append(excess)
+    return checks, excesses
+
+
+def _offset_dist(dist):
+    # distances above 1e-3 read 1.0 long, so that pairs violate the check
+    return lambda self, x, y: dist(self, x, y) + (dist(self, x, y) > 1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("n_range", [(1, 1), (1, 4), (2, 10)], ids=str)
+@pytest.mark.parametrize("space", npc_spaces(), ids=space_id)
+def test_lipschitz_checks_equal_a_per_pair_loop(space, n_range, seed, monkeypatch):
+    folded = []
+    fold = PropertyCheck.fold
+
+    def recording(check, excess, witness, slack=0.0):
+        folded.append(excess.tolist())
+        fold(check, excess, witness, slack)
+
+    monkeypatch.setattr(PropertyCheck, "fold", recording)
+    for corrupt in (False, True):
+        if corrupt:  # witnesses too, from the same distance in both loops
+            monkeypatch.setattr(type(space), "dist", _offset_dist(type(space).dist))
+        folded.clear()
+        rep = npc_property_suite(space, samples=1, seed=seed, tuple_pairs=12, n_range=n_range)
+        suite_folds = folded[2:]
+        checks, excesses = _lipschitz_per_pair(space, seed, 12, n_range)
+        assert suite_folds == excesses
+        assert rep.checks[2:] == checks
+        assert json.dumps(rep.to_json()["checks"][2:]) == json.dumps([c.to_json() for c in checks])
+        assert [c.witness is not None for c in checks] == [corrupt, corrupt]
+
+
+@pytest.mark.parametrize("n_range", [(0, 3), (3, 2), (2,), (1, 2, 3), (1.0, 3), (True, 2), 5, "13"],
+                         ids=repr)
+def test_property_suite_rejects_bad_n_range(n_range):
+    with pytest.raises(SpaceError, match="n_range"):
+        npc_property_suite(Euclidean(2), samples=1, tuple_pairs=1, n_range=n_range)
 
 
 def test_property_suite_rejects_sphere():

@@ -243,6 +243,17 @@ def test_random_points_validate(space, rng):
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+def test_no_random_points_make_the_empty_stack(space):
+    rng, fresh = np.random.default_rng(3), np.random.default_rng(3)
+    empty = random_points(space, rng, 0)
+    one = random_points(space, np.random.default_rng(4), 1)
+    assert empty.shape == space.stack([]).shape == (0,) + one.shape[1:]
+    assert len(space.unstack(empty)) == 0
+    # nothing is drawn: the stream goes on where the equal generator is
+    assert rng.random() == fresh.random()
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_geodesic_outputs_validate(space, rng):
     for _ in range(100):
         x, y = random_point(space, rng), random_point(space, rng)
