@@ -9,9 +9,10 @@ its own RNG stream from (seed, trial index); reports are therefore identical
 regardless of scheduling, and two runs of the same config and seed produce
 bitwise-identical distance lists.
 
-Trials hold their draws as indices into the stacked support, and random
-instances are drawn and placed a block at a time; README.md ("Notes on the
-solver") describes both.
+Trials hold their draws as indices into the stacked support, or, for an
+i.i.d. empirical trial, as counts of the atoms, and random instances are
+drawn and placed a block at a time; README.md ("Notes on the solver")
+describes both.  A distribution's ground truth is solved once per spec.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,10 +95,19 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributionSpec:
     """A finitely supported probability measure on one space, holding one
-    :class:`WeightedSample` and the cumulative table that sampling searches."""
+    :class:`WeightedSample` and the cumulative table that sampling searches.
+
+    A spec is frozen, so what is derived from it is computed at most once:
+    its diameter on the first :meth:`diameter` call, and its barycenter on
+    the first :func:`population_barycenter` call at the default tolerance.
+    That pays wherever one spec object reaches its ground truth again: a
+    run reads each diameter two or three times, :func:`verify_sturm_lln`
+    sets up again after its run, and runs that share a spec (a sweep over
+    seeds, n or trials through ``dataclasses.replace``) solve b* once.  A
+    spec built afresh for each run gains only the diameter reads."""
 
     space: Space
     support: list
@@ -104,17 +115,20 @@ class DistributionSpec:
     label: str = ""
 
     def __post_init__(self):
-        self.support = list(self.support)
-        self._sample = WeightedSample(self.support, self.weights)
-        self.weights = self._sample.weights
+        object.__setattr__(self, "support", list(self.support))
+        sample = WeightedSample(self.support, self.weights)
+        object.__setattr__(self, "weights", sample.weights)
         for i, p in enumerate(self.support):
             diag = self.space.validate_point(p)
             if diag is not None:
                 raise SpaceError(f"support point {i}: {diag}")
-        cum = np.cumsum([float(w) for w in self._sample.resolved_weights()])
-        cum[-1] = 1.0
+        # each exact partial sum rounded once: an atom of weight 0 gets its
+        # predecessor's entry, so no uniform draws it, and the last is 1
+        cum = np.array([float(s) for s in accumulate(sample.resolved_weights())])
         cum.flags.writeable = False
-        self._cum = cum
+        object.__setattr__(self, "_sample", sample)
+        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_memo", {})  # diameter and b*, once computed
 
     def cumulative_weights(self) -> np.ndarray:
         """Read-only cumulative weights, last entry exactly 1."""
@@ -124,7 +138,11 @@ class DistributionSpec:
         return self._sample
 
     def diameter(self) -> float:
-        return sample_diameter(self.space, self.support)
+        """The support's :func:`~npcbary.barycenter.sample_diameter`,
+        computed on the first call."""
+        if "diameter" not in self._memo:
+            self._memo["diameter"] = sample_diameter(self.space, self.support)
+        return self._memo["diameter"]
 
     def to_json(self) -> dict:
         return {
@@ -150,11 +168,29 @@ class DistributionSpec:
 def population_barycenter(dist: DistributionSpec, tol: float | None = None):
     """Barycenter of the full weighted support.
 
+    At the default tolerance, ``GROUND_TRUTH_TOL_REL * (1 + diameter)``, it
+    is solved on the first call and kept on the spec; every later call
+    returns that point, read-only.  An explicit ``tol`` always solves.
+
     For spheres the support must sit inside an open ball of radius
     pi/(2*sqrt(kappa)) (certified by :func:`~npcbary.barycenter.support_ball`,
     the best support atom as center), which guarantees a unique barycenter;
-    otherwise an error names the violated ball condition.
+    otherwise an error names the violated ball condition, on every call.
     """
+    if tol is not None:
+        return _solve_population(dist, tol)
+    memo = dist._memo
+    if "b_star" not in memo:
+        b_star = _solve_population(dist, GROUND_TRUTH_TOL_REL * (1.0 + dist.diameter()))
+        if isinstance(b_star, np.ndarray):  # tree points are immutable already
+            b_star = b_star.copy()
+            b_star.flags.writeable = False
+        memo["b_star"] = b_star
+    return memo["b_star"]
+
+
+def _solve_population(dist: DistributionSpec, tol: float):
+    """The support's weighted barycenter at ``tol``, after a sphere's ball check."""
     space = dist.space
     if isinstance(space, Sphere):
         limit = math.pi / (2.0 * math.sqrt(space.kappa))
@@ -164,8 +200,6 @@ def population_barycenter(dist: DistributionSpec, tol: float | None = None):
                 "sphere support too spread: needs an open ball of radius "
                 f"pi/(2*sqrt(kappa)) = {limit}, best support-centered radius is {radius}"
             )
-    if tol is None:
-        tol = GROUND_TRUTH_TOL_REL * (1.0 + dist.diameter())
     return weighted_barycenter(space, dist.as_weighted_sample(), tol=tol).point
 
 
@@ -178,8 +212,23 @@ def draw_indices(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.nda
     """``size`` atom indices from ``size`` uniforms of ``rng``, atom i drawn
     with probability cum[i] - cum[i-1]: the number of entries of cum that
     are <= u.  Every sampling path draws its atoms by this rule, so one seed
-    gives the same atoms whichever path draws them."""
+    gives the same atoms whichever path draws them; :func:`draw_counts`
+    counts them without the indices."""
     return np.searchsorted(cum, rng.random(size), side="right")
+
+
+def draw_counts(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """How many of ``size`` uniforms of ``rng`` pick each atom by the rule of
+    :func:`draw_indices`: bitwise ``np.bincount(draw_indices(cum, rng,
+    size), minlength=len(cum))``.  Atom i takes the uniforms u with
+    cum[i-1] <= u < cum[i]: with the uniforms sorted, one search gives
+    #{u < cum[i]} for every i, and the counts are its differences, in
+    O(size log size) time and O(size) memory whatever the atoms."""
+    u = rng.random(size)
+    u.sort()
+    counts = np.searchsorted(u, cum)  # #{u < cum[i]}, the last all of them
+    counts[1:] -= counts[:-1]  # numpy reads the overlapping operand as it was
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +407,18 @@ def _trial_draws(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
     return draws
 
 
+def _trial_counts(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
+    """Trial index -> how often the trial draws each atom of the stacked
+    supports: ``np.bincount`` of its :func:`_trial_draws`, which an i.i.d.
+    trial counts from its uniforms without the indices (:func:`draw_counts`)."""
+    if config.iid:
+        cum = config.distributions[0].cumulative_weights()
+        return lambda trial: draw_counts(cum, trial_rng(config.seed, trial), config.n)
+    draws = _trial_draws(config)
+    atoms = sum(len(d.support) for d in config.distributions)
+    return lambda trial: np.bincount(draws(trial), minlength=atoms)
+
+
 def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[float]:
     """d(T_n, b*) of the inductive barycenter for trials 0, ..., trials - 1,
     LOCKSTEP_BLOCK at a time: :func:`inductive_rows` walks a block of trials
@@ -402,9 +463,11 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     distances d(T_n, b*) against the configured bound.
 
     The boundedness center x0 is taken to be b* itself and C the largest
-    support distance from it, the choice that minimizes C.  Each trial
+    support distance from it, the choice that minimizes C.  b* and the
+    diameters are each spec's own, computed once per spec.  Each trial
     draws from its own stream.  Inductive trials advance in lockstep,
     LOCKSTEP_BLOCK at a time.  Empirical trials are keyed by their counts,
+    which an i.i.d. trial takes from its sorted uniforms (:func:`draw_counts`),
     as README.md ("Notes on the solver") describes, and solved once per key;
     a failing solve aborts the run naming the first trial with that key.
     """
@@ -419,14 +482,15 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     bound_value = _resolve_bound(config, sigma, C, sigmas, Cs)
 
     atoms = [x for d in dists for x in d.support]
-    draws = _trial_draws(config)
     if config.estimator == "inductive":
-        distances = _block_distances(space, b_star, config.trials, draws, space.stack(atoms))
+        distances = _block_distances(space, b_star, config.trials, _trial_draws(config),
+                                     space.stack(atoms))
     else:
         trial_tol = TRIAL_TOL_REL * (1.0 + D) if config.tol is None else config.tol
+        trial_counts = _trial_counts(config)
         solved, distances = {}, []
         for t in range(config.trials):
-            counts = np.bincount(draws(t), minlength=len(atoms))
+            counts = trial_counts(t)
             key = counts.tobytes()
             if key not in solved:
                 drawn = np.flatnonzero(counts)

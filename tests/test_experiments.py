@@ -1,6 +1,7 @@
 """The Monte Carlo engine: sampling, ground truth, coverage runs,
 determinism, and the property suites."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -25,7 +26,9 @@ from npcbary import (
     verify_sturm_lln,
     verify_subgaussian_witness,
 )
-from npcbary import bounds, empirical_barycenter, inductive_barycenter, product_l1_dist
+from npcbary import (
+    bounds, empirical_barycenter, experiments, inductive_barycenter, product_l1_dist,
+)
 from npcbary.barycenter import sample_diameter
 from npcbary.cli import EXIT_CHECK_FAILED, main
 from npcbary.experiments import (
@@ -34,6 +37,7 @@ from npcbary.experiments import (
     PropertyCheck,
     TRIAL_TOL_REL,
     _midpoint_excess_rows,
+    draw_counts,
     draw_indices,
     perturbed_tuple,
     random_point,
@@ -146,6 +150,127 @@ def test_distribution_weight_validation():
             [np.array([0.0]), np.array([1.0])],
             weights=(Fraction(1, 2), Fraction(1, 3)),
         )
+
+
+class FixedUniforms:
+    """A stand-in generator whose ``random(size)`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def tenths_with_zero(at: int) -> DistributionSpec:
+    """Ten atoms of weight 1/10, whose float partial sums miss 1, and an
+    atom of weight 0 at index ``at``."""
+    weights = ["1/10"] * 10
+    weights.insert(at, "0")
+    return DistributionSpec(Euclidean(1), [np.array([float(i)]) for i in range(11)],
+                            weights=weights)
+
+
+@pytest.mark.parametrize("at", [0, 5, 10])
+def test_zero_weight_atoms_are_never_drawn(at):
+    cum = tenths_with_zero(at).cumulative_weights()
+    assert cum[at] == (cum[at - 1] if at else 0.0)
+    assert cum[-1] == 1.0
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges[edges < 1.0],
+                        trial_rng(at, 0).random(10_000)])
+    assert at not in draw_indices(cum, FixedUniforms(u), len(u))
+    assert draw_counts(cum, FixedUniforms(u), len(u))[at] == 0
+
+
+COUNT_TABLES = {
+    "one atom": point_mass(),
+    "rademacher": rademacher(),
+    "thirds": DistributionSpec(Euclidean(1), [np.array([float(i)]) for i in range(3)]),
+    "zero first": tenths_with_zero(0),
+    "zero middle": tenths_with_zero(5),
+    "zero last": tenths_with_zero(10),
+    "sphere cap": sphere_cap_distribution(),
+    "100 atoms, some of weight 0": DistributionSpec(
+        Euclidean(1), [np.array([float(i)]) for i in range(100)],
+        weights=[Fraction(i % 7, 295) for i in range(100)]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 10_000])
+@pytest.mark.parametrize("table", COUNT_TABLES)
+def test_draw_counts_are_the_bincount_of_the_draws(table, n):
+    cum = COUNT_TABLES[table].cumulative_weights()
+    for t in range(5):
+        want = np.bincount(draw_indices(cum, trial_rng(7, t), n), minlength=len(cum))
+        got = draw_counts(cum, trial_rng(7, t), n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Patch ``experiments.<name>`` to record each call; the list of calls."""
+    calls = []
+    original = getattr(experiments, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, record)
+    return calls
+
+
+def test_ground_truth_is_solved_once_per_spec(monkeypatch):
+    solves = counted(monkeypatch, "weighted_barycenter")
+    diameters = counted(monkeypatch, "sample_diameter")
+    cap = sphere_cap_distribution()
+    cfg = ExperimentConfig(distributions=[cap], n=100, estimator="empirical", trials=10,
+                           delta=0.1)
+    first, second = run_concentration(cfg), run_concentration(cfg)
+    assert first.distances == second.distances
+    assert len(solves) == 1 and len(diameters) == 1
+    assert population_barycenter(cap) is population_barycenter(cap)
+    assert len(solves) == 1
+
+    # a spec rebuilt from the same JSON is a new spec, and solves again
+    rebuilt = DistributionSpec.from_json(cap.space, json.loads(json.dumps(cap.to_json())))
+    assert np.array_equal(population_barycenter(rebuilt), population_barycenter(cap))
+    assert len(solves) == 2
+
+    # an explicit tol always solves
+    population_barycenter(cap, tol=1e-6)
+    population_barycenter(cap, tol=1e-6)
+    assert len(solves) == 4
+
+
+def test_sturm_check_solves_its_ground_truth_once(monkeypatch):
+    solves = counted(monkeypatch, "weighted_barycenter")
+    cfg = sturm_config("euclidean", trials=20)
+    verify_sturm_lln(cfg)
+    assert len(solves) == 1
+
+
+def test_too_spread_sphere_support_raises_on_every_call():
+    space = Sphere(1.0)
+    dist = DistributionSpec(space, [space.base_point(),
+                                    space.exp_from_base(np.array([1.0, 0.0]), math.pi - 0.05)])
+    for _ in range(2):
+        with pytest.raises(SpaceError, match="ball"):
+            population_barycenter(dist)
+
+
+def test_a_spec_and_its_ground_truth_are_read_only():
+    dist = rademacher()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.label = "changed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.support = []
+    b_star = population_barycenter(dist)
+    with pytest.raises(ValueError, match="read-only"):
+        b_star[0] = 1.0
+    assert population_barycenter(dist)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
