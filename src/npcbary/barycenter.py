@@ -45,6 +45,12 @@ STALL_REL = 4.0 * sys.float_info.epsilon
 # sample_diameter compares all pairs of at most this many points.
 DIAMETER_EXACT_CAP = 600
 
+# sample_diameter, support_ball and pairwise_variance_estimate measure their
+# pairs a block of rows at a time, a block holding at most this many pairs
+# (or one row), so their memory does not grow with the square of the number
+# of points.
+PAIR_BLOCK = 1 << 16
+
 
 class ConvergenceError(RuntimeError):
     """The fixed-point iteration exhausted max_cycles iterations, or its
@@ -89,10 +95,10 @@ class GridSearchResult:
 
 def as_fraction(value) -> Fraction:
     """Exact rational from an int, a Fraction, a 'p/q' string, or a float
-    (floats convert to their exact binary rational)."""
+    (floats convert to their exact binary rational); a bool is none of these."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -141,10 +147,18 @@ class WeightedSample:
         return tuple(Fraction(1, n) for _ in self.points)
 
 
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), the pairs i < j in row-major order, cheaply."""
+def _pair_dists(space: Space, xs: np.ndarray, upper: bool):
+    """d(x_i, x_j) over the pairs of the stack ``xs``, all n^2 of them or
+    those with i < j (``upper``), in row-major order: one array per block of
+    rows i, each of at most max(PAIR_BLOCK, n) pairs."""
+    n = len(xs)
     k = np.arange(n)
-    return np.nonzero(k[:, None] < k)
+    rows = k[: n - 1] if upper else k
+    step = max(1, PAIR_BLOCK // n)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        i, j = np.nonzero(block[:, None] < k) if upper else np.divmod(np.arange(len(block) * n), n)
+        yield space.row_dist(xs[block[i]], xs[j])
 
 
 def sample_diameter(space: Space, points: Sequence) -> float:
@@ -156,8 +170,7 @@ def sample_diameter(space: Space, points: Sequence) -> float:
         return 0.0
     xs = space.stack(points)
     if n <= DIAMETER_EXACT_CAP:
-        i, j = _pairs(n)
-        return float(space.row_dist(xs[i], xs[j]).max())
+        return max(float(d.max()) for d in _pair_dists(space, xs, upper=True))
     return 2.0 * float(space.row_dist(xs[0], xs[1:]).max())
 
 
@@ -241,8 +254,8 @@ def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
     """The best support-centred ball: the index c of the point of ``points``
     that minimizes max_i d(x_c, x_i), the first on ties, and that radius."""
     xs = space.stack(points)
-    i, j = np.divmod(np.arange(len(xs) ** 2), len(xs))
-    radii = space.row_dist(xs[i], xs[j]).reshape(len(xs), -1).max(axis=1)
+    radii = np.concatenate([d.reshape(-1, len(xs)).max(axis=1)
+                            for d in _pair_dists(space, xs, upper=False)])
     return int(np.argmin(radii)), float(radii.min())
 
 
@@ -393,9 +406,9 @@ def pairwise_variance_estimate(space: Space, points: Sequence) -> float:
     n = len(points)
     if n < 1:
         raise SpaceError("need at least one point")
-    xs = space.stack(points)
-    i, j = _pairs(n)
-    return 2.0 * sum(r**2 for r in space.row_dist(xs[i], xs[j]).tolist()) / (n * n)
+    # one sum over every pair, in order: a sum per block would round differently
+    pairs = _pair_dists(space, space.stack(points), upper=True)
+    return 2.0 * sum(r**2 for d in pairs for r in d.tolist()) / (n * n)
 
 
 def brute_force_barycenter(

@@ -36,6 +36,8 @@ from .barycenter import (
 from .bounds import BOUND_EVALUATORS, evaluate_bound
 from .experiments import ExperimentConfig, npc_property_suite, run_concentration
 from .spaces import (
+    Euclidean,
+    Hyperbolic,
     Space,
     SpaceError,
     SpdAffine,
@@ -50,7 +52,13 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_CHECK_FAILED = 4
 
-_CHECK_SPACES = ("euclidean", "hyperbolic", "spd", "tree")
+# The space each `check --space` name runs the property suite on, from the flags.
+_CHECK_SPACES = {
+    "euclidean": lambda args: Euclidean(2),
+    "hyperbolic": lambda args: Hyperbolic(kappa=-1.0, dim=2),
+    "spd": lambda args: SpdAffine(args.p),
+    "tree": lambda args: presets.demo_tree(),
+}
 
 
 def _load_json(path: str):
@@ -161,10 +169,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.space == "spd":
-        space = SpdAffine(args.p)
-    else:
-        space = presets.default_space("metric_tree" if args.space == "tree" else args.space)
+    space = _CHECK_SPACES[args.space](args)
     report = npc_property_suite(
         space, samples=args.samples, seed=args.seed, tuple_pairs=args.tuple_pairs
     )

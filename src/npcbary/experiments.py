@@ -274,6 +274,8 @@ class ExperimentConfig:
         if self.bound not in COVERAGE_BOUNDS:
             raise ValueError(f"bound must be one of {COVERAGE_BOUNDS}, got {self.bound!r}")
         check_keys(self.bound_overrides, BOUND_OVERRIDES)
+        if not self.bound_overrides.get("scale", 0.0) >= 0.0:
+            raise ValueError("bound override 'scale' must be >= 0")
         spaces = {d.space for d in self.distributions}
         if len(spaces) != 1:
             raise ValueError("all distributions must live on the same space")

@@ -27,20 +27,6 @@ def demo_tree() -> MetricTree:
     )
 
 
-def default_space(kind: str) -> Space:
-    if kind == "euclidean":
-        return Euclidean(2)
-    if kind == "hyperbolic":
-        return Hyperbolic(kappa=-1.0, dim=2)
-    if kind == "spd_affine":
-        return SpdAffine(3)
-    if kind == "metric_tree":
-        return demo_tree()
-    if kind == "sphere":
-        return Sphere(kappa=1.0, dim=2)
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
 def _rademacher_distribution() -> DistributionSpec:
     return DistributionSpec(
         space=Euclidean(1),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -509,32 +509,24 @@ def _snap_margin(length):
     return 1e-12 * (1.0 + length)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MetricTree(Space):
     """A finite tree with positive edge lengths under the path-length metric.
 
     ``vertices`` is a sequence of hashable, mutually comparable ids (all
     strings or all integers); ``edges`` lists (u, v, length) triples.  The
     structure must be connected and acyclic.  Vertex-pair distances and
-    next hops are tabulated once.  A stack of tree points is a float (k, 2)
-    array of (code, offset) rows: code v < V is vertex ``vertices[v]`` at
-    offset 0, and code V + e the point of edge e at ``offset`` from its
-    lower-id endpoint.
+    next hops are tabulated once, as plain attributes rather than fields, so
+    a tree compares and hashes by its vertices and edges alone.  A stack of
+    tree points is a float (k, 2) array of (code, offset) rows: code v < V
+    is vertex ``vertices[v]`` at offset 0, and code V + e the point of edge
+    e at ``offset`` from its lower-id endpoint.
     """
 
     vertices: tuple
     edges: tuple
 
     kind = "metric_tree"
-
-    # derived tables, filled in __post_init__
-    _idx: dict = field(default=None, repr=False, compare=False)
-    _ends: np.ndarray = field(default=None, repr=False, compare=False)
-    _len: np.ndarray = field(default=None, repr=False, compare=False)
-    _snap: tuple = field(default=None, repr=False, compare=False)
-    _dist_table: np.ndarray = field(default=None, repr=False, compare=False)
-    _parent: np.ndarray = field(default=None, repr=False, compare=False)
-    _hop: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -580,10 +572,9 @@ class MetricTree(Space):
             adj[i].append((j, n + eid))
             adj[j].append((i, n + eid))
 
-        # per root, each vertex's distance, parent (its next hop toward the
-        # root) and the code of the edge to that parent
+        # per root, each vertex's distance and the code of the edge of its
+        # next hop toward the root
         dist_table = np.zeros((n, n))
-        parent = np.full((n, n), -1, dtype=np.intp)
         hop = np.full((n, n), -1, dtype=np.intp)
         for root in range(n):
             seen = [False] * n
@@ -594,7 +585,6 @@ class MetricTree(Space):
                 for (nxt, code) in adj[cur]:
                     if not seen[nxt]:
                         seen[nxt] = True
-                        parent[root, nxt] = cur
                         hop[root, nxt] = code
                         dist_table[root, nxt] = dist_table[root, cur] + elen[code]
                         stack.append(nxt)
@@ -609,18 +599,7 @@ class MetricTree(Space):
         object.__setattr__(self, "_snap", tuple((_snap_margin(ln), ln - _snap_margin(ln))
                                                 for ln in elen[n:]))
         object.__setattr__(self, "_dist_table", dist_table)
-        object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_hop", hop)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MetricTree)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     # point constructors --------------------------------------------------
 
@@ -721,7 +700,8 @@ class MetricTree(Space):
         ax, lx, ay = np.where(up_x, ax[1], ax[0]), np.where(up_x, lx[1], lx[0]), np.where(
             up_y, ay[1], ay[0])
         target = (t[:, 0] if isinstance(t, np.ndarray) else t) * d
-        ox, oy, lo, length = xs[:, 1], ys[:, 1], self._ends[0], self._len
+        (lo, hi), length = self._ends, self._len
+        ox, oy = xs[:, 1], ys[:, 1]
         moves = target > 0.0
         left = moves & (target < d)
         at_y = moves ^ left
@@ -743,7 +723,7 @@ class MetricTree(Space):
             left ^= stop
             walk ^= stop
             np.subtract(rem, ln, out=rem, where=walk)
-            np.copyto(cur, self._parent[ay, cur], where=walk)
+            np.copyto(cur, lo[e] + hi[e] - cur, where=walk)
             walk &= cur != ay
         # rows that reach y's entry vertex end on y's edge, or at y itself
         ln = length[cy]

@@ -28,11 +28,13 @@ from npcbary import (
     weighted_barycenter,
 )
 from npcbary.barycenter import (
+    PAIR_BLOCK,
     _merge,
     as_fraction,
     frechet_objective,
     inductive_rows,
     sample_diameter,
+    support_ball,
 )
 from npcbary.experiments import (
     draw_indices,
@@ -513,6 +515,34 @@ def test_pairwise_variance_values():
     assert pv == 2.0
     sigma_hat_sq = 1.0  # variance at the barycenter 1
     assert sigma_hat_sq <= pv <= 2 * sigma_hat_sq
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+def test_pair_blocks_match_the_full_square_bitwise(space, rng, monkeypatch):
+    pts = random_tuple(space, rng, 23)
+    n, xs = len(pts), space.stack(pts)
+    i, j = np.divmod(np.arange(n * n), n)
+    radii = space.row_dist(xs[i], xs[j]).reshape(n, n).max(axis=1)
+    ball = (int(np.argmin(radii)), float(radii.min()))
+    i, j = np.triu_indices(n, 1)
+    upper = space.row_dist(xs[i], xs[j])
+    pv = 2.0 * sum(r**2 for r in upper.tolist()) / (n * n)
+    sizes = []
+    row_dist = type(space).row_dist
+
+    def spy(self, xs, ys):
+        sizes.append(len(xs))
+        return row_dist(self, xs, ys)
+
+    monkeypatch.setattr(type(space), "row_dist", spy)
+    for block in (1, 7, n, 5 * n, PAIR_BLOCK):
+        monkeypatch.setattr("npcbary.barycenter.PAIR_BLOCK", block)
+        sizes.clear()
+        assert support_ball(space, pts) == ball
+        assert pairwise_variance_estimate(space, pts) == pv
+        assert sample_diameter(space, pts) == float(upper.max())
+        assert max(sizes) <= max(block, n)
+        assert (len(sizes) == 3) == (block >= n * n)
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=space_id)

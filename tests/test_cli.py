@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npcbary import Euclidean, Hyperbolic, SpdAffine
 from npcbary.cli import main
+from npcbary.experiments import PropertyCheck, PropertySuiteReport
 
 from conftest import star_tree
 
@@ -283,6 +285,24 @@ def test_check_tree(tmp_path):
     assert read(out)["passed"] is True
 
 
+@pytest.mark.parametrize("name, space", [
+    ("euclidean", Euclidean(2)),
+    ("hyperbolic", Hyperbolic(-1.0, 2)),
+    ("spd", SpdAffine(4)),
+    ("tree", star_tree()),
+])
+def test_check_builds_the_documented_space(tmp_path, monkeypatch, name, space):
+    seen = []
+
+    def suite(space, **kwargs):
+        seen.append(space)
+        return PropertySuiteReport(space.kind, 0, [PropertyCheck("stub", 1)])
+
+    monkeypatch.setattr("npcbary.cli.npc_property_suite", suite)
+    assert main(["check", "--space", name, "--p", "4", "--output", str(tmp_path / "c.json")]) == 0
+    assert seen == [space] and type(seen[0]) is type(space)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "npcbary.cli", "bounds", "--input", "/nonexistent.json"],
@@ -395,11 +415,14 @@ def mutated(name, path, value):
     ("euclidean", ("points", 1), ["1.5", 2.0], "points[1]"),
     ("config", ("bound", "overrides", "scal"), 0.01, "'scal'"),
     ("config", ("sede",), 5, "'sede'"),
+    # reproduced as a run on (1, 0) weights (exit 0) and a radius of -1.276 (exit 4)
+    ("config", ("distributions", 0, "weights"), [True, False], "rational weight"),
+    ("config", ("bound", "overrides", "scale"), -1.0, "'scale'"),
 ], ids=["points-payload", "spd-ragged", "tree-edge-length", "tree-point-edge", "gm-ragged",
         "config-bound", "config-distributions", "dim-nonintegral", "override-K",
         "override-scale", "override-combine", "points-number", "matrices-number",
         "config-no-n", "query-sigma", "query-sigmas", "points-bool", "points-string",
-        "override-misspelt", "config-misspelt"])
+        "override-misspelt", "config-misspelt", "weights-bool", "scale-negative"])
 def test_malformed_input_exit_code(tmp_path, capsys, name, path, value, needle):
     command, doc = mutated(name, path, value)
     assert run_input(doc, command, tmp_path) == 2

@@ -278,6 +278,15 @@ def test_a_spec_and_its_ground_truth_are_read_only():
 # ---------------------------------------------------------------------------
 
 
+def test_a_config_accepts_equal_trees_built_apart():
+    trees = star_tree(), star_tree()
+    dists = [DistributionSpec(t, [t.vertex_point("a"), t.vertex_point("b")]) for t in trees]
+    cfg = ExperimentConfig(dists, n=2, estimator="empirical", trials=3, delta=0.1,
+                           bound="noniid_hoeffding")
+    assert trees[0] is not trees[1] and cfg.space == trees[1]
+    assert run_concentration(cfg).trials == 3
+
+
 def test_run_point_mass_coverage():
     cfg = ExperimentConfig(
         distributions=[point_mass()], n=10, estimator="inductive",

@@ -1,6 +1,7 @@
 """Distance / geodesic exactness and the structural invariants of the five
 spaces, on seeded random instances."""
 
+import dataclasses
 import json
 import math
 
@@ -152,6 +153,18 @@ def test_bad_tree_structures():
         MetricTree(("a", "b"), (("a", "b", 0.0),))
     with pytest.raises(SpaceError):
         MetricTree(("a", "b", "c", "d"), (("a", "b", 1.0), ("c", "d", 1.0), ("c", "d", 2.0)))
+
+
+def test_a_tree_is_the_value_of_its_vertices_and_edges():
+    # the distance and next-hop tables are derived, not fields
+    assert [f.name for f in dataclasses.fields(MetricTree)] == ["vertices", "edges"]
+    tree = star_tree()
+    read = space_from_json(json.loads(
+        '{"kind": "metric_tree", "tree": {"vertices": ["a", "b", "c", "o"], '
+        '"edges": [["o", "a", 1], ["o", "b", 1.0], ["o", "c", 1.0]]}}'))
+    assert read is not tree and read == tree and hash(read) == hash(tree)
+    longer = MetricTree(tree.vertices, tree.edges[:2] + (("o", "c", 1.5),))
+    assert longer != tree and longer != read
 
 
 def test_geodesic_parameter_range():
