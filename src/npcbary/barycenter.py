@@ -261,29 +261,36 @@ def support_ball(space: Space, points: Sequence) -> tuple[int, float]:
 
 def _merge(xs: np.ndarray, masses: Sequence[int | Fraction]) -> tuple[np.ndarray, list]:
     """The atoms of the measure with mass ``masses[i]`` >= 0 at row i of the
-    stack ``xs``, in the sorted order of the rows' float bytes: for each
-    distinct row, its first index and its exact total mass, if not zero."""
+    stack ``xs`` (README.md, "Notes on the solver"): each distinct row's first
+    index and exact total mass, if not zero, in the sorted order of the bytes."""
     rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
-    _, first, group = np.unique(rows.view(f"V{rows[0].nbytes}")[:, 0],
-                                return_index=True, return_inverse=True)
-    sums = [0] * len(first)
-    for g, m in zip(group.tolist(), masses):
-        sums[g] += m
+    keys = rows.view(f"V{rows[0].nbytes}")[:, 0]
+    if len(keys) > 256:  # np.unique's fixed cost pays for itself beyond about 256 rows
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        sums = [0] * len(first)
+        for g, m in zip(group.tolist(), masses):
+            sums[g] += m
+    else:
+        order = keys.argsort(kind="stable")  # equal rows stay in index order
+        first, sums = [], []
+        for i, new in zip(order.tolist(), [True] + (keys[order[1:]] != keys[order[:-1]]).tolist()):
+            if new:
+                first.append(i)
+                sums.append(masses[i])
+            else:
+                sums[-1] += masses[i]
     keep = [g for g, m in enumerate(sums) if m > 0]
-    return first[keep], [sums[g] for g in keep]
+    return np.asarray(first, dtype=np.intp)[keep], [sums[g] for g in keep]
 
 
 def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fraction],
                   tol: float | None, max_cycles: int) -> BarycenterResult:
     """Frechet mean of the measure with mass ``masses[i]`` >= 0, an int count
-    or an exact Fraction, at ``points[i]``.
-
-    The atoms are :func:`_merge`'s, each kept as its first point, so a
-    measure gives the same bits in any order of its points.  Each weight
-    m_i / sum m is rounded once to a float.  A single atom, and a metric
-    tree (its exact weighted mean), take no iterations and bound 0.0.  The
-    smooth spaces run the "Warm start" and "Fixed point" of README.md
-    ("Notes on the solver") over the atoms' stack.
+    or an exact Fraction, at ``points[i]``, solved on :func:`_merge`'s atoms
+    as README.md ("Notes on the solver") describes: a single atom and a
+    metric tree take no iterations and bound 0.0, and the smooth spaces run
+    the warm start and the certified fixed point, a sphere measuring its
+    support ball only when the iterate-centred ball does not certify ``tol``.
 
     ``tol=None`` is resolved to :func:`default_tolerance` over the atoms,
     only where the loop runs.  Repeats do not change a diameter, so this is
@@ -312,16 +319,16 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         running += m
         row = space.row_geodesic(row, xs[k : k + 1], float(m / running))
     s = space.unstack(row)[0]
-    ball = support_ball(space, xs) if isinstance(space, Sphere) else None
-    step = 0.0
+    ball, step = None, 0.0
     for iteration in itertools.count():
         vs, r = space.log(s, xs)
         g = (weights @ vs.reshape(len(vs), -1)).reshape(vs.shape[1:])
         g_norm = space.tangent_norm(s, g)
         radius = float(r.max())
-        if ball is not None:  # the support-centred ball, widened to reach s
-            radius = min(radius, max(ball[1], float(r[ball[0]])))
         bound = _error_bound(space, g_norm, radius)
+        if bound > tol and isinstance(space, Sphere):  # the support ball, widened to reach s
+            ball = ball or support_ball(space, xs)
+            bound = _error_bound(space, g_norm, min(radius, max(ball[1], float(r[ball[0]]))))
         if bound <= tol:
             return BarycenterResult(s, iteration, step, float(weights @ r**2), bound)
         # a step below the rounding of the distances it came from moves s no

@@ -71,6 +71,10 @@ ESTIMATORS = ("empirical", "inductive")
 # (block, n) index matrix and one stack of iterates.
 LOCKSTEP_BLOCK = 128
 
+# draw_counts' cost model: a pass over n uniforms costs n + COUNT_PASS_FIXED
+# units and a sort n log2(n) units, a unit about 0.5 ns (2-core Xeon, numpy 2.4).
+COUNT_PASS_FIXED = 4000
+
 # The property suite places and checks its midpoint and constant-speed
 # instances this many at a time, so its memory does not grow with samples.
 PROPERTY_CHUNK = 1024
@@ -219,14 +223,17 @@ def draw_indices(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.nda
 
 def draw_counts(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """How many of ``size`` uniforms of ``rng`` pick each atom by the rule of
-    :func:`draw_indices`: bitwise ``np.bincount(draw_indices(cum, rng,
-    size), minlength=len(cum))``.  Atom i takes the uniforms u with
-    cum[i-1] <= u < cum[i]: with the uniforms sorted, one search gives
-    #{u < cum[i]} for every i, and the counts are its differences, in
-    O(size log size) time and O(size) memory whatever the atoms."""
+    :func:`draw_indices`, ``cum`` ending in 1: bitwise ``np.bincount(
+    draw_indices(cum, rng, size), minlength=len(cum))``, from #{u < cum[i]}
+    by one pass over the uniforms per entry or by one sort, whichever
+    COUNT_PASS_FIXED rates cheaper, as README.md ("Notes on the solver")
+    describes."""
     u = rng.random(size)
-    u.sort()
-    counts = np.searchsorted(u, cum)  # #{u < cum[i]}, the last all of them
+    if (len(cum) - 1) * (size + COUNT_PASS_FIXED) < size * math.log2(max(size, 1)):
+        counts = np.array([np.count_nonzero(u < c) for c in cum[:-1].tolist()] + [size])
+    else:
+        u.sort()
+        counts = np.searchsorted(u, cum)  # #{u < cum[i]}, the last all of them
     counts[1:] -= counts[:-1]  # numpy reads the overlapping operand as it was
     return counts
 
@@ -411,8 +418,8 @@ def _trial_draws(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
 
 def _trial_counts(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
     """Trial index -> how often the trial draws each atom of the stacked
-    supports: ``np.bincount`` of its :func:`_trial_draws`, which an i.i.d.
-    trial counts from its uniforms without the indices (:func:`draw_counts`)."""
+    supports: ``np.bincount`` of its :func:`_trial_draws`, counted as
+    README.md ("Notes on the solver") describes."""
     if config.iid:
         cum = config.distributions[0].cumulative_weights()
         return lambda trial: draw_counts(cum, trial_rng(config.seed, trial), config.n)
@@ -468,10 +475,10 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     support distance from it, the choice that minimizes C.  b* and the
     diameters are each spec's own, computed once per spec.  Each trial
     draws from its own stream.  Inductive trials advance in lockstep,
-    LOCKSTEP_BLOCK at a time.  Empirical trials are keyed by their counts,
-    which an i.i.d. trial takes from its sorted uniforms (:func:`draw_counts`),
-    as README.md ("Notes on the solver") describes, and solved once per key;
-    a failing solve aborts the run naming the first trial with that key.
+    LOCKSTEP_BLOCK at a time.  Empirical trials are keyed by their counts
+    (:func:`_trial_counts`), as README.md ("Notes on the solver") describes,
+    and solved once per key; a failing solve aborts the run naming the first
+    trial with that key.
     """
     t0 = time.perf_counter()
     space = config.space

@@ -27,6 +27,7 @@ from npcbary import (
     product_l1_dist,
     weighted_barycenter,
 )
+from npcbary import barycenter
 from npcbary.barycenter import (
     PAIR_BLOCK,
     _merge,
@@ -37,11 +38,14 @@ from npcbary.barycenter import (
     support_ball,
 )
 from npcbary.experiments import (
+    ExperimentConfig,
     draw_indices,
     perturbed_tuple,
+    population_barycenter,
     random_point,
     random_points,
     random_tuple,
+    run_concentration,
     trial_rng,
 )
 from npcbary.presets import coverage_distribution, sphere_cap_distribution
@@ -229,15 +233,45 @@ def test_sphere_bound_holds_on_weighted_caps_near_the_limit(kappa):
         assert space.dist(res.point, ref.point) <= res.error_bound + ref.error_bound
 
 
-def test_sphere_certificate_uses_the_support_centred_ball():
+def ball_calls(monkeypatch) -> list:
+    """Record the solver's support_ball calls; the list of their sizes."""
+    calls = []
+    original = barycenter.support_ball
+    monkeypatch.setattr(barycenter, "support_ball",
+                        lambda space, points: calls.append(len(points)) or original(space, points))
+    return calls
+
+
+def test_sphere_certificate_uses_the_support_centred_ball(monkeypatch):
     # the mean is pulled toward the heavy atom, more than a quarter turn from
-    # the light one, so only the support-centred ball is inside the limit
+    # the light one, so only the support-centred ball is inside the limit;
+    # an atom off their great circle makes the solve iterate, and each solve
+    # measures the ball once
+    calls = ball_calls(monkeypatch)
     space = Sphere(1.0)
     u = np.array([1.0, 0.0])
     light, heavy = (space.exp_from_base(d, 0.97 * math.pi / 2) for d in (-u, u))
-    res = empirical_barycenter(space, [space.base_point(), light] + [heavy] * 3, tol=1e-8)
+    points = [space.base_point(), light, space.exp_from_base(u[::-1], 0.6)] + [heavy] * 3
+    res = empirical_barycenter(space, points, tol=1e-8)
+    assert res.iterations > 1 and calls == [4]
+    ref = empirical_barycenter(space, points, tol=1e-12)
+    assert calls == [4, 4]
     assert space.dist(res.point, light) > math.pi / 2
     assert res.error_bound <= 1e-8
+    assert space.dist(res.point, ref.point) <= res.error_bound + ref.error_bound
+
+
+def test_two_atom_cap_solves_without_the_support_ball(monkeypatch):
+    # the ball centred at the iterate certifies the cap, so no solve measures
+    # the support ball: neither one on the atoms nor a coverage run's trials
+    dist = sphere_cap_distribution()
+    population_barycenter(dist)
+    calls = ball_calls(monkeypatch)
+    res = empirical_barycenter(dist.space, dist.support, tol=1e-8, counts=[5003, 4997])
+    assert res.error_bound <= 1e-8
+    run_concentration(ExperimentConfig([dist], n=10_000, estimator="empirical", trials=5,
+                                       delta=0.1, seed=3))
+    assert calls == []
 
 
 def test_result_does_not_depend_on_atom_order():
@@ -308,6 +342,39 @@ def test_shared_objects_and_equal_copies_solve_alike(space, rng):
         res = empirical_barycenter(space, pts, tol=tol)
         assert np.array_equal(res.point, ref.point)
         assert (res.iterations, res.objective) == (ref.iterations, ref.objective)
+
+
+def unique_merge(xs, masses):
+    """The merge by one np.unique over the rows' bytes: the oracle for _merge."""
+    rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
+    _, first, group = np.unique(rows.view(f"V{rows[0].nbytes}")[:, 0],
+                                return_index=True, return_inverse=True)
+    sums = [0] * len(first)
+    for g, m in zip(group.tolist(), masses):
+        sums[g] += m
+    keep = [g for g, m in enumerate(sums) if m > 0]
+    return first[keep], [sums[g] for g in keep]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 256, 257, 10_000])
+def test_merge_matches_the_unique_oracle(k, rng):
+    tree = star_tree()
+    stacks = {
+        "rows": rng.standard_normal((k, 2)),
+        # signed zeros differ in their bytes, so -0.0 and 0.0 stay two atoms
+        "zeros": rng.choice([-0.0, 0.0, 1.0], size=(k, 2)),
+        "spd": SpdAffine(2).stack(random_tuple(SpdAffine(2), rng, k)),
+        "tree": tree.stack(random_tuple(tree, rng, k)),
+    }
+    for name, xs in stacks.items():
+        xs = xs[rng.integers(0, max(1, k // 2), size=k)]  # repeats, in any order
+        for masses in (rng.integers(0, 4, size=k).tolist(),
+                       [Fraction(int(m), 7) for m in rng.integers(1, 4, size=k)]):
+            first, sums = _merge(xs, masses)
+            want_first, want_sums = unique_merge(xs, masses)
+            assert first.dtype == want_first.dtype, name
+            assert first.tobytes() == want_first.tobytes(), name
+            assert sums == want_sums and [type(m) for m in sums] == [type(m) for m in want_sums]
 
 
 def assert_same_result(res, ref):

@@ -172,16 +172,27 @@ def tenths_with_zero(at: int) -> DistributionSpec:
                             weights=weights)
 
 
+# draw_counts sorts 10^4 uniforms from 11 atoms, and counts 10^5 by passes
+@pytest.mark.parametrize("uniforms", [10_000, 100_000])
 @pytest.mark.parametrize("at", [0, 5, 10])
-def test_zero_weight_atoms_are_never_drawn(at):
+def test_zero_weight_atoms_are_never_drawn(at, uniforms):
     cum = tenths_with_zero(at).cumulative_weights()
     assert cum[at] == (cum[at - 1] if at else 0.0)
     assert cum[-1] == 1.0
     edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
     u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges[edges < 1.0],
-                        trial_rng(at, 0).random(10_000)])
-    assert at not in draw_indices(cum, FixedUniforms(u), len(u))
-    assert draw_counts(cum, FixedUniforms(u), len(u))[at] == 0
+                        trial_rng(at, 0).random(uniforms)])
+    idx = draw_indices(cum, FixedUniforms(u), len(u))
+    assert at not in idx
+    counts = draw_counts(cum, FixedUniforms(u), len(u))
+    assert counts[at] == 0
+    assert counts.tobytes() == np.bincount(idx, minlength=len(cum)).tobytes()
+
+
+def some_zero_weights(k: int) -> DistributionSpec:
+    """k atoms of weights proportional to i % 7, so atoms 0, 7, ... weigh 0."""
+    return DistributionSpec(Euclidean(1), [np.array([float(i)]) for i in range(k)],
+                            weights=[Fraction(i % 7, sum(j % 7 for j in range(k))) for i in range(k)])
 
 
 COUNT_TABLES = {
@@ -192,19 +203,28 @@ COUNT_TABLES = {
     "zero middle": tenths_with_zero(5),
     "zero last": tenths_with_zero(10),
     "sphere cap": sphere_cap_distribution(),
-    "100 atoms, some of weight 0": DistributionSpec(
-        Euclidean(1), [np.array([float(i)]) for i in range(100)],
-        weights=[Fraction(i % 7, 295) for i in range(100)]),
+    "10 atoms, some of weight 0": some_zero_weights(10),
+    "11 atoms, some of weight 0": some_zero_weights(11),
+    "100 atoms, some of weight 0": some_zero_weights(100),
 }
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
 @pytest.mark.parametrize("table", COUNT_TABLES)
-def test_draw_counts_are_the_bincount_of_the_draws(table, n):
+def test_draw_counts_are_the_bincount_of_the_draws(table, n, monkeypatch):
+    # draw_counts counts by passes over the uniforms where they cost less
+    # than a sort: at n = 10^4 up to 10 atoms, at n <= 100 never (but one
+    # atom, which needs no pass, from n = 2)
     cum = COUNT_TABLES[table].cumulative_weights()
+    searches = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **kw: searches.append(1) or searchsorted(*a, **kw))
     for t in range(5):
         want = np.bincount(draw_indices(cum, trial_rng(7, t), n), minlength=len(cum))
+        searches.clear()
         got = draw_counts(cum, trial_rng(7, t), n)
+        if len(cum) > 1:
+            assert bool(searches) == (n < 10_000 or len(cum) > 10)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
