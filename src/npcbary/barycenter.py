@@ -265,22 +265,16 @@ def _merge(xs: np.ndarray, masses: Sequence[int | Fraction]) -> tuple[np.ndarray
     index and exact total mass, if not zero, in the sorted order of the bytes."""
     rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
     keys = rows.view(f"V{rows[0].nbytes}")[:, 0]
-    if len(keys) > 256:  # np.unique's fixed cost pays for itself beyond about 256 rows
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        sums = [0] * len(first)
-        for g, m in zip(group.tolist(), masses):
-            sums[g] += m
-    else:
-        order = keys.argsort(kind="stable")  # equal rows stay in index order
-        first, sums = [], []
-        for i, new in zip(order.tolist(), [True] + (keys[order[1:]] != keys[order[:-1]]).tolist()):
-            if new:
-                first.append(i)
-                sums.append(masses[i])
-            else:
-                sums[-1] += masses[i]
+    order = keys.argsort(kind="stable")  # equal rows stay in index order
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = order[new]
+    sums = [0] * len(first)
+    for g, i in zip(new.cumsum().tolist(), order.tolist()):  # row i is in atom g - 1
+        sums[g - 1] += masses[i]
     keep = [g for g, m in enumerate(sums) if m > 0]
-    return np.asarray(first, dtype=np.intp)[keep], [sums[g] for g in keep]
+    return first[keep], [sums[g] for g in keep]
 
 
 def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fraction],

@@ -242,20 +242,24 @@ def ball_calls(monkeypatch) -> list:
     return calls
 
 
-def test_sphere_certificate_uses_the_support_centred_ball(monkeypatch):
+@pytest.mark.parametrize("off_circle", [False, True], ids=["five_points", "off_circle_atom"])
+def test_sphere_certificate_uses_the_support_centred_ball(monkeypatch, off_circle):
     # the mean is pulled toward the heavy atom, more than a quarter turn from
     # the light one, so only the support-centred ball is inside the limit;
-    # an atom off their great circle makes the solve iterate, and each solve
+    # an atom off their great circle makes the solve iterate, and that solve
     # measures the ball once
     calls = ball_calls(monkeypatch)
     space = Sphere(1.0)
     u = np.array([1.0, 0.0])
     light, heavy = (space.exp_from_base(d, 0.97 * math.pi / 2) for d in (-u, u))
-    points = [space.base_point(), light, space.exp_from_base(u[::-1], 0.6)] + [heavy] * 3
+    points = [space.base_point(), light] + [heavy] * 3
+    if off_circle:
+        points.insert(2, space.exp_from_base(u[::-1], 0.6))
     res = empirical_barycenter(space, points, tol=1e-8)
-    assert res.iterations > 1 and calls == [4]
+    solve_calls = list(calls)
     ref = empirical_barycenter(space, points, tol=1e-12)
-    assert calls == [4, 4]
+    if off_circle:
+        assert res.iterations > 1 and solve_calls == [4] and calls == [4, 4]
     assert space.dist(res.point, light) > math.pi / 2
     assert res.error_bound <= 1e-8
     assert space.dist(res.point, ref.point) <= res.error_bound + ref.error_bound
@@ -356,7 +360,7 @@ def unique_merge(xs, masses):
     return first[keep], [sums[g] for g in keep]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 10, 256, 257, 10_000])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 257, 10_000])
 def test_merge_matches_the_unique_oracle(k, rng):
     tree = star_tree()
     stacks = {
@@ -367,7 +371,7 @@ def test_merge_matches_the_unique_oracle(k, rng):
         "tree": tree.stack(random_tuple(tree, rng, k)),
     }
     for name, xs in stacks.items():
-        xs = xs[rng.integers(0, max(1, k // 2), size=k)]  # repeats, in any order
+        xs = xs[rng.integers(0, min(k, max(2, k // 2)), size=k)]  # repeats, in any order
         for masses in (rng.integers(0, 4, size=k).tolist(),
                        [Fraction(int(m), 7) for m in rng.integers(1, 4, size=k)]):
             first, sums = _merge(xs, masses)
