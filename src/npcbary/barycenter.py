@@ -284,7 +284,8 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
     as README.md ("Notes on the solver") describes: a single atom and a
     metric tree take no iterations and bound 0.0, and the smooth spaces run
     the warm start and the certified fixed point, a sphere measuring its
-    support ball only when the iterate-centred ball does not certify ``tol``.
+    support ball only once ||g|| <= ``tol`` if the iterate-centred ball does
+    not certify it.
 
     ``tol=None`` is resolved to :func:`default_tolerance` over the atoms,
     only where the loop runs.  Repeats do not change a diameter, so this is
@@ -320,7 +321,8 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         g_norm = space.tangent_norm(s, g)
         radius = float(r.max())
         bound = _error_bound(space, g_norm, radius)
-        if bound > tol and isinstance(space, Sphere):  # the support ball, widened to reach s
+        # the support ball, widened to reach s; no radius certifies ||g|| > tol
+        if bound > tol and g_norm <= tol and isinstance(space, Sphere):
             ball = ball or support_ball(space, xs)
             bound = _error_bound(space, g_norm, min(radius, max(ball[1], float(r[ball[0]]))))
         if bound <= tol:

@@ -15,6 +15,7 @@ inversion, with ``min`` and ``sum`` exposed for study.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from typing import Callable, Sequence
@@ -254,7 +255,9 @@ def subgaussian_tail(K: float, t: float) -> float:
 
 
 # CLI-facing dispatch: formula name -> function; its parameters without a
-# default are the query's required fields, those with one its optional fields
+# default are the query's required fields, those with one its optional fields,
+# each formula's signature read once
+_signature = functools.cache(inspect.signature)
 BOUND_EVALUATORS: dict[str, Callable] = {
     "subgaussian": subgaussian_radius,
     "hoeffding": hoeffding_radius,
@@ -275,7 +278,7 @@ def evaluate_bound(name: str, query: dict) -> float | int:
     if name not in BOUND_EVALUATORS:
         raise ValueError(f"unknown bound {name!r} (known: {sorted(BOUND_EVALUATORS)})")
     fn = BOUND_EVALUATORS[name]
-    params = inspect.signature(fn).parameters.values()
+    params = _signature(fn).parameters.values()
     missing = [p.name for p in params if p.default is p.empty and p.name not in query]
     if missing:
         raise ValueError(f"bound {name!r} needs fields {missing}")

@@ -17,12 +17,13 @@ describes both.  A distribution's ground truth is solved once per spec.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,9 +90,84 @@ COVERAGE_BOUNDS = ("subgaussian", "hoeffding", "bernstein", "noniid_hoeffding", 
 BOUND_OVERRIDES = {"K": float, "scale": float, "combine": str}
 
 
+# numpy's SeedSequence mix multipliers and hash shift (NEP 19 fixes them), as
+# 0-d arrays, which numpy applies faster than scalars
+_MIX_L, _MIX_R, _SHIFT = np.array([0xCA01F9DD, 0x4973F715, 16], np.uint32)
+
+
+def trial_rngs(seed: int, trials: range) -> Iterator[np.random.Generator]:
+    """The generators of a block of consecutive ``trials`` (below 2^64), each
+    bitwise ``np.random.default_rng([seed, trial])``, seeded as drawn from
+    the words :func:`_seed_words` hashes for the whole block."""
+    seed = int(seed)
+    if seed < 0 or trials.start < 0:
+        raise ValueError(f"seed and trials must be nonnegative, got {seed} and {trials}")
+    if trials.start < 1 << 32 < trials.stop:  # trials from 2^32 on take two words
+        cut = (1 << 32) - trials.start
+        return chain(trial_rngs(seed, trials[:cut]), trial_rngs(seed, trials[cut:]))
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    t, high = np.arange(trials.start, trials.stop, dtype=np.uint64), trials.start >> 32 > 0
+    # seed's words, then the trial's, then zeros up to four words, as numpy pads
+    entropy = np.zeros((len(t), max(len(words) + 1 + high, 4)), np.uint32)
+    entropy[:, : len(words)] = words
+    entropy[:, len(words)] = t
+    entropy[:, len(words) + high] = t >> 32 * high
+    return (np.random.Generator(np.random.PCG64(row)) for row in _seed_words(entropy))
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator derived from (seed, trial index)."""
-    return np.random.default_rng([int(seed), int(trial)])
+    """Per-trial generator derived from (seed, trial index): the one-trial
+    case of :func:`trial_rngs`."""
+    return next(trial_rngs(seed, range(int(trial), int(trial) + 1)))
+
+
+class _SeedWords(np.ndarray):
+    """Seed words that are their own numpy ``ISeedSequence`` (registered at
+    first use: importing npcbary does not import numpy.random)."""
+
+    def generate_state(self, n_words, dtype=None):  # PCG64 asks for 4 uint64
+        return self
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """Row j: ``SeedSequence(entropy[j]).generate_state(4, np.uint64)`` of a
+    (trials, words >= 4) uint32 array, by numpy's hash in uint32 arithmetic,
+    one array operation for all the trials at each step."""
+    xor, mul, out_xor, out_mul = _hash_constants(entropy.shape[1] - 4)
+
+    def hashmix(v, step):
+        v = v ^ xor[step]
+        v *= mul[step]
+        return v ^ v >> _SHIFT
+
+    pool = hashmix(entropy[:, :4], 0)
+    # step s <= 4 mixes pool word s - 1 into the others (its own mix is
+    # undone), and each later step one more entropy word into all four
+    for step in range(1, len(xor)):
+        src = (pool if step <= 4 else entropy)[:, step - 1, None]
+        mixed = pool * _MIX_L - hashmix(src, step) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        if step <= 4:
+            mixed[:, step - 1] = src[:, 0]
+        pool = mixed
+    out = np.concatenate((pool, pool), axis=1) ^ out_xor  # eight words, read in cycle
+    out *= out_mul
+    out ^= out >> _SHIFT
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False).view(_SeedWords)
+
+
+@functools.cache
+def _hash_constants(extra: int) -> tuple:
+    """:func:`_seed_words`' xor and multiplier rows, per step and of the
+    output, for 4 + ``extra`` words: numpy's m-th hash xors h_m = a b^m and
+    multiplies by h_(m+1), and step s hashes for word d by call calls[s, d]."""
+    s, d = np.arange(5 + extra)[:, None], np.arange(4)
+    calls = np.where(s <= 4, 3 * s + 1 + d - (d >= s), 4 * s - 4 + d)
+    calls[0] = d
+    h, out = (np.array([a] + [b] * k, np.uint32).cumprod(dtype=np.uint32) for a, b, k in
+              ((0x43B0D7E5, 0x931E8875, 17 + 4 * extra), (0x8B51F9DD, 0x58F38DED, 8)))
+    return list(h[calls]), list(h[calls + 1]), out[:8], out[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -394,51 +470,58 @@ def _resolve_bound(config: ExperimentConfig, sigma: float, C: float,
     return bounds.evaluate_bound(config.bound, query) * float(overrides.get("scale", 1.0))
 
 
-def _trial_draws(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
-    """Trial index -> the trial's n draws, as indices into the supports
-    stacked in distribution order: all from the one distribution if i.i.d.,
-    else draw i from distribution i.  The trial's stream gives n uniforms at
-    once, each picking its atom by the rule of :func:`draw_indices`."""
+def _blocks(trials: int) -> Iterator[range]:
+    """Trials 0, ..., trials - 1, LOCKSTEP_BLOCK at a time."""
+    return (range(i, min(i + LOCKSTEP_BLOCK, trials)) for i in range(0, trials, LOCKSTEP_BLOCK))
+
+
+def _trial_draws(config: ExperimentConfig) -> Callable[[range], np.ndarray]:
+    """A block of trials -> their (trials, n) matrix of draws, as indices
+    into the supports stacked in distribution order: all from the one
+    distribution if i.i.d., else draw i from distribution i.  Each trial's
+    stream gives n uniforms at once, each picking its atom by the rule of
+    :func:`draw_indices`; an i.i.d. block searches all its uniforms in one
+    call."""
     dists = config.distributions
+
+    def uniforms(block):
+        return np.stack([rng.random(config.n) for rng in trial_rngs(config.seed, block)])
+
     if config.iid:
         cum = dists[0].cumulative_weights()
-        return lambda trial: draw_indices(cum, trial_rng(config.seed, trial), config.n)
+        return lambda block: np.searchsorted(cum, uniforms(block), side="right")
     offsets = np.cumsum([0] + [len(d.support) for d in dists[:-1]])
     # row i: distribution i's cumulative weights, padded with entries no u reaches
     cums = np.full((len(dists), max(len(d.support) for d in dists)), np.inf)
     for row, d in zip(cums, dists):
         row[: len(d.support)] = d.cumulative_weights()
-
-    def draws(trial):
-        u = trial_rng(config.seed, trial).random(config.n)
-        return offsets + np.count_nonzero(cums <= u[:, None], axis=1)
-
-    return draws
+    return lambda block: np.stack([offsets + np.count_nonzero(cums <= u[:, None], axis=1)
+                                   for u in uniforms(block)])
 
 
-def _trial_counts(config: ExperimentConfig) -> Callable[[int], np.ndarray]:
-    """Trial index -> how often the trial draws each atom of the stacked
-    supports: ``np.bincount`` of its :func:`_trial_draws`, counted as
+def _trial_counts(config: ExperimentConfig) -> Iterator[np.ndarray]:
+    """Each trial's count of each atom of the stacked supports, in trial
+    order: ``np.bincount`` of its row of :func:`_trial_draws`, counted as
     README.md ("Notes on the solver") describes."""
     if config.iid:
         cum = config.distributions[0].cumulative_weights()
-        return lambda trial: draw_counts(cum, trial_rng(config.seed, trial), config.n)
+        return (draw_counts(cum, rng, config.n) for block in _blocks(config.trials)
+                for rng in trial_rngs(config.seed, block))
     draws = _trial_draws(config)
     atoms = sum(len(d.support) for d in config.distributions)
-    return lambda trial: np.bincount(draws(trial), minlength=atoms)
+    return (np.bincount(row, minlength=atoms)
+            for block in _blocks(config.trials) for row in draws(block))
 
 
 def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[float]:
     """d(T_n, b*) of the inductive barycenter for trials 0, ..., trials - 1,
     LOCKSTEP_BLOCK at a time: :func:`inductive_rows` walks a block of trials
-    from the index matrix of their ``draws`` into the stack ``support``, and
+    from their index matrix ``draws(block)`` into the stack ``support``, and
     their distances to b* are one row-wise call."""
     (b_row,) = space.stack([b_star])
     out = []
-    for start in range(0, trials, LOCKSTEP_BLOCK):
-        block = range(start, min(start + LOCKSTEP_BLOCK, trials))
-        idx = np.stack([draws(t) for t in block])
-        out += space.row_dist(inductive_rows(space, support, idx), b_row).tolist()
+    for block in _blocks(trials):
+        out += space.row_dist(inductive_rows(space, support, draws(block)), b_row).tolist()
     return out
 
 
@@ -496,10 +579,8 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
                                      space.stack(atoms))
     else:
         trial_tol = TRIAL_TOL_REL * (1.0 + D) if config.tol is None else config.tol
-        trial_counts = _trial_counts(config)
         solved, distances = {}, []
-        for t in range(config.trials):
-            counts = trial_counts(t)
+        for t, counts in enumerate(_trial_counts(config)):
             key = counts.tobytes()
             if key not in solved:
                 drawn = np.flatnonzero(counts)
@@ -691,9 +772,10 @@ def run_pac(
     else:
         m = bounds.pac_sample_size(D, eps_target, delta, c_pac)
 
-    distances = _block_distances(space, b_star, trials,
-                                 lambda t: trial_rng(seed, t).integers(0, n, size=m),
-                                 space.stack(points))
+    def draws(block):
+        return np.stack([rng.integers(0, n, size=m) for rng in trial_rngs(seed, block)])
+
+    distances = _block_distances(space, b_star, trials, draws, space.stack(points))
     successes = sum(d <= eps_target for d in distances)
     freq = successes / trials
     return PacReport(

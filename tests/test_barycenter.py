@@ -265,6 +265,35 @@ def test_sphere_certificate_uses_the_support_centred_ball(monkeypatch, off_circl
     assert space.dist(res.point, ref.point) <= res.error_bound + ref.error_bound
 
 
+def test_sphere_measures_its_support_ball_only_once_the_gradient_is_within_tol(monkeypatch):
+    # no radius brings the bound below ||g||, so while ||g|| > tol no solve
+    # measures the support ball, and a solve measures it at most once; the
+    # off-circle measure starts far from tol and needs the ball at the end
+    events = []
+    error_bound, original = barycenter._error_bound, barycenter.support_ball
+    monkeypatch.setattr(barycenter, "_error_bound",
+                        lambda space, g, r: events.append(g) or error_bound(space, g, r))
+    monkeypatch.setattr(barycenter, "support_ball",
+                        lambda space, points: events.append("ball") or original(space, points))
+    space = Sphere(1.0)
+    u = np.array([1.0, 0.0])
+    light, heavy = (space.exp_from_base(d, 0.97 * math.pi / 2) for d in (-u, u))
+    off_circle = [space.base_point(), light, space.exp_from_base(u[::-1], 0.6)] + [heavy] * 3
+    rng = np.random.default_rng(5)
+    measures = [off_circle] + [random_tuple(space, rng, k) for k in (3, 17, 40)]
+    balls, first_g = [], []
+    for points in measures:
+        events.clear()
+        res = empirical_barycenter(space, points, tol=1e-8)
+        at = [i for i, e in enumerate(events) if e == "ball"]
+        assert len(at) <= 1
+        assert all(events[i - 1] <= 1e-8 for i in at)
+        assert res.error_bound <= 1e-8
+        balls.append(len(at))
+        first_g.append(events[0])
+    assert balls[0] == 1 and first_g[0] > 1e-8
+
+
 def test_two_atom_cap_solves_without_the_support_ball(monkeypatch):
     # the ball centred at the iterate certifies the cap, so no solve measures
     # the support ball: neither one on the atoms nor a coverage run's trials

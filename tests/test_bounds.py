@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npcbary import bounds
 from npcbary.bounds import (
     BOUND_EVALUATORS,
     bernstein_radius,
@@ -257,3 +258,16 @@ def test_evaluate_bound_dispatch():
     with pytest.raises(ValueError):
         evaluate_bound("hoeffding", {"sigma": 1.0})
     assert set(BOUND_EVALUATORS) >= {"hoeffding", "bernstein", "subgaussian", "cat_kappa"}
+
+
+def test_evaluate_bound_reads_each_signature_once():
+    # a formula's signature is read on its first call; later calls give the
+    # same values and the same missing-field message
+    q = {"sigma": 1.0, "C": 1.0, "n": 100, "delta": 0.05}
+    want = evaluate_bound("hoeffding", q)
+    bounds._signature.cache_clear()
+    for _ in range(3):
+        assert evaluate_bound("hoeffding", q) == want
+        with pytest.raises(ValueError, match=r"^bound 'hoeffding' needs fields \['C', 'n', 'delta'\]$"):
+            evaluate_bound("hoeffding", {"sigma": 1.0})
+    assert bounds._signature.cache_info().misses == 1

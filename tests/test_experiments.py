@@ -4,6 +4,8 @@ determinism, and the property suites."""
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -175,7 +177,7 @@ def tenths_with_zero(at: int) -> DistributionSpec:
 # draw_counts sorts 10^4 uniforms from 11 atoms, and counts 10^5 by passes
 @pytest.mark.parametrize("uniforms", [10_000, 100_000])
 @pytest.mark.parametrize("at", [0, 5, 10])
-def test_zero_weight_atoms_are_never_drawn(at, uniforms):
+def test_zero_weight_atoms_are_never_drawn(monkeypatch, at, uniforms):
     cum = tenths_with_zero(at).cumulative_weights()
     assert cum[at] == (cum[at - 1] if at else 0.0)
     assert cum[-1] == 1.0
@@ -187,6 +189,12 @@ def test_zero_weight_atoms_are_never_drawn(at, uniforms):
     counts = draw_counts(cum, FixedUniforms(u), len(u))
     assert counts[at] == 0
     assert counts.tobytes() == np.bincount(idx, minlength=len(cum)).tobytes()
+    # an i.i.d. block of trials searches all its uniforms in one call
+    cfg = ExperimentConfig([tenths_with_zero(at)], n=len(u), estimator="inductive", trials=2,
+                           delta=0.1)
+    monkeypatch.setattr(experiments, "trial_rngs",
+                        lambda seed, block: map(FixedUniforms, [u] * len(block)))
+    assert experiments._trial_draws(cfg)(range(2)).tobytes() == np.stack([idx, idx]).tobytes()
 
 
 def some_zero_weights(k: int) -> DistributionSpec:
@@ -597,6 +605,148 @@ def test_trial_report_csv_shape():
     assert len(lines) == 26
     trial, dist_s, cov = lines[7].split(",")
     assert trial == "6" and float(dist_s) == rep.distances[6] and cov in "01"
+
+
+# ---------------------------------------------------------------------------
+# trial streams, anchored to numpy's default_rng([seed, trial])
+# ---------------------------------------------------------------------------
+
+STREAM_SEEDS = [0, 1, 5, 12345, 2**32 - 1, 2**32, 2**64 + 7, 2**96 - 1, 2**96, 2**100 + 3,
+                2**200 + 11]
+
+
+def stream_head(rng) -> list:
+    """Eight doubles and one integers draw of a generator."""
+    return rng.random(8).tolist() + [int(rng.integers(0, 2**62))]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_are_numpys_default_rng(seed):
+    # entropies of 1 to 7 seed words and of one or two trial words, and a
+    # block that crosses from one-word trials to two-word trials
+    for trials in (range(300), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 1)):
+        got = [stream_head(rng) for rng in experiments.trial_rngs(seed, trials)]
+        assert got == [stream_head(np.random.default_rng([seed, t])) for t in trials]
+    for t in (0, 299, 2**32 - 1, 2**32, 2**40):
+        assert stream_head(trial_rng(seed, t)) == stream_head(np.random.default_rng([seed, t]))
+
+
+def test_trial_streams_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="nonnegative"):
+        trial_rng(-1, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        experiments.trial_rngs(-1, range(3))
+
+
+def default_rng_draws(cfg, t) -> np.ndarray:
+    """Trial t's atom indices into the stacked supports, drawn from
+    np.random.default_rng([seed, t]) as the harness drew them one trial at
+    a time before it seeded its trials a block at a time."""
+    rng = np.random.default_rng([cfg.seed, t])
+    if cfg.iid:
+        return draw_indices(cfg.distributions[0].cumulative_weights(), rng, cfg.n)
+    dists = cfg.distributions
+    offsets = np.cumsum([0] + [len(d.support) for d in dists[:-1]])
+    cums = np.full((len(dists), max(len(d.support) for d in dists)), np.inf)
+    for row, d in zip(cums, dists):
+        row[: len(d.support)] = d.cumulative_weights()
+    return offsets + np.count_nonzero(cums <= rng.random(cfg.n)[:, None], axis=1)
+
+
+def default_rng_distances(cfg) -> list[float]:
+    """run_concentration's distances from one np.random.default_rng([seed,
+    t]) per trial: the harness's code before its trials were seeded a block
+    at a time, kept as the oracle."""
+    space = cfg.space
+    b_star = population_barycenter(cfg.distributions[0])
+    atoms = [x for d in cfg.distributions for x in d.support]
+    if cfg.estimator == "inductive":
+        (b_row,) = space.stack([b_star])
+        out = []
+        for start in range(0, cfg.trials, LOCKSTEP_BLOCK):
+            idx = np.stack([default_rng_draws(cfg, t)
+                            for t in range(start, min(start + LOCKSTEP_BLOCK, cfg.trials))])
+            out += space.row_dist(experiments.inductive_rows(space, space.stack(atoms), idx),
+                                  b_row).tolist()
+        return out
+    D = max(d.diameter() for d in cfg.distributions)
+    tol = TRIAL_TOL_REL * (1.0 + D) if cfg.tol is None else cfg.tol
+    solved, out = {}, []
+    for t in range(cfg.trials):
+        if cfg.iid:
+            counts = draw_counts(cfg.distributions[0].cumulative_weights(),
+                                 np.random.default_rng([cfg.seed, t]), cfg.n)
+        else:
+            counts = np.bincount(default_rng_draws(cfg, t), minlength=len(atoms))
+        key = counts.tobytes()
+        if key not in solved:
+            drawn = np.flatnonzero(counts)
+            t_n = empirical_barycenter(space, [atoms[i] for i in drawn.tolist()], tol=tol,
+                                       counts=counts[drawn].tolist()).point
+            solved[key] = space.dist(t_n, b_star)
+        out.append(solved[key])
+    return out
+
+
+@pytest.mark.parametrize("name", ["hoeffding-hyperbolic-inductive", "bernstein-spd-empirical",
+                                  "noniid-hoeffding-inductive", "noniid-hoeffding-empirical"])
+def test_runs_draw_the_default_rng_streams(name):
+    cfg = preset_config(name)
+    cfg.trials = LOCKSTEP_BLOCK + 3
+    assert run_concentration(cfg).distances == default_rng_distances(cfg)
+
+
+def test_pac_draws_the_default_rng_streams(monkeypatch):
+    space, pts = Hyperbolic(-1.0), [random_point(Hyperbolic(-1.0), np.random.default_rng(8))
+                                    for _ in range(6)]
+    seen = []
+    block_distances = experiments._block_distances
+    monkeypatch.setattr(experiments, "_block_distances",
+                        lambda *a: seen.append(block_distances(*a)) or seen[-1])
+    rep = run_pac(space, pts, 0.3, 0.2, LOCKSTEP_BLOCK + 5, seed=2**64 + 7, c_pac=0.05)
+    b_star = empirical_barycenter(space, pts, tol=1e-9 * (1.0 + rep.D)).point
+    (b_row,) = space.stack([b_star])
+    want = []
+    for start in range(0, rep.trials, LOCKSTEP_BLOCK):
+        idx = np.stack([np.random.default_rng([2**64 + 7, t]).integers(0, len(pts), size=rep.m)
+                        for t in range(start, min(start + LOCKSTEP_BLOCK, rep.trials))])
+        want += space.row_dist(experiments.inductive_rows(space, space.stack(pts), idx),
+                               b_row).tolist()
+    assert seen == [want]
+    assert rep.successes == sum(d <= 0.3 for d in want)
+
+
+def test_trial_streams_build_no_seed_sequence_per_trial(monkeypatch):
+    # every trial's PCG64 is seeded from precomputed words, never from a
+    # SeedSequence of its own, and default_rng is not called
+    calls, seeds = [], []
+    for name in ("default_rng", "SeedSequence"):
+        original = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name,
+                            lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: seeds.append(seed) or pcg64(seed))
+    trials = 0
+    for name in ("hoeffding-euclidean-inductive", "bernstein-spd-empirical",
+                 "noniid-hoeffding-inductive", "noniid-hoeffding-empirical"):
+        cfg = preset_config(name)
+        cfg.trials = LOCKSTEP_BLOCK + 3
+        run_concentration(cfg)
+        trials += cfg.trials
+    assert calls == []
+    assert len(seeds) == trials
+    assert all(isinstance(s, np.random.bit_generator.ISeedSequence)
+               and not isinstance(s, np.random.bit_generator.SeedSequence) for s in seeds)
+
+
+def test_numpy_random_loads_at_the_first_trial_stream():
+    # importing npcbary loads numpy.random only where importing numpy does
+    # (numpy < 2); the trial streams load it at their first trial
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import npcbary; "
+            "print(before, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
