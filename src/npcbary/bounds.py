@@ -172,8 +172,8 @@ def pac_sample_size(D: float, eps_target: float, delta: float, c_pac: float = 1.
     eps_target = _check_pos(eps_target, "eps_target")
     delta = _check_delta(delta)
     c_pac = _check_pos(c_pac, "c_pac")
-    m = math.ceil(c_pac * (D / eps_target) ** 2 * max(1.0, math.log(1.0 / delta)))
-    return max(1, m)
+    return _sample_size(lambda: c_pac * (D / eps_target) ** 2 * max(1.0, math.log(1.0 / delta)),
+                        D=D, eps_target=eps_target, delta=delta, c_pac=c_pac)
 
 
 def pac_sample_size_bernstein(
@@ -190,9 +190,20 @@ def pac_sample_size_bernstein(
     eps_target = _check_pos(eps_target, "eps_target")
     delta = _check_delta(delta)
     c_pac = _check_pos(c_pac, "c_pac")
-    lead = max(sigma2 / eps_target**2, D / eps_target)
-    m = math.ceil(c_pac * lead * max(1.0, math.log(1.0 / delta)))
-    return max(1, m)
+    return _sample_size(lambda: c_pac * max(sigma2 / eps_target**2, D / eps_target)
+                        * max(1.0, math.log(1.0 / delta)),
+                        sigma2=sigma2, D=D, eps_target=eps_target, delta=delta, c_pac=c_pac)
+
+
+def _sample_size(size: Callable[[], float], **fields: float) -> int:
+    """max(1, ceil(size())) of a formula of checked ``fields``; a size that
+    is not a finite float, or whose float arithmetic overflows or divides by
+    an underflowed zero, is a ValueError naming the fields."""
+    try:
+        return max(1, math.ceil(size()))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        named = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        raise ValueError(f"no finite sample size at {named}") from None
 
 
 def _check_epsilon(kappa: float, epsilon: float) -> tuple[float, float]:
@@ -251,7 +262,10 @@ def subgaussian_tail(K: float, t: float) -> float:
     images of a K^2-sub-Gaussian variable."""
     K = _check_pos(K, "K")
     t = _check_nonneg(t, "t")
-    return min(1.0, 2.0 * math.exp(-(t * t) / (2.0 * K * K)))
+    scale = 2.0 * K * K
+    # where K * K underflows to 0 the exponent is still (t/K)^2 / 2
+    exponent = (t * t) / scale if scale > 0.0 else 0.5 * (t / K) * (t / K)
+    return min(1.0, 2.0 * math.exp(-exponent))
 
 
 # CLI-facing dispatch: formula name -> function; its parameters without a

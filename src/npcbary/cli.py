@@ -116,19 +116,9 @@ def cmd_gm(args) -> int:
         raise SpaceError("field 'matrices' needs at least one matrix")
     inductive = inductive_barycenter(space, mats)
     mean = empirical_barycenter(space, mats, tol=args.tol, max_cycles=args.max_cycles)
-    _dump_json(
-        {
-            "p": space.p,
-            "count": len(mats),
-            "inductive": space.payload_to_json(inductive),
-            "empirical": space.payload_to_json(mean.point),
-            "iterations": mean.iterations,
-            "final_displacement": mean.final_displacement,
-            "objective": mean.objective,
-            "error_bound": mean.error_bound,
-        },
-        args.output,
-    )
+    solve = mean.to_json(space)  # its "point" is written as "empirical", in its place
+    _dump_json({"p": space.p, "count": len(mats), "inductive": space.payload_to_json(inductive),
+                "empirical": solve.pop("point"), **solve}, args.output)
     return EXIT_OK
 
 

@@ -354,6 +354,8 @@ class ExperimentConfig:
             raise ValueError("n must be >= 1")
         if int(self.seed) < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.tol is not None and not self.tol > 0.0:
+            raise ValueError(f"tol must be null or > 0, got {self.tol}")
         if self.bound not in COVERAGE_BOUNDS:
             raise ValueError(f"bound must be one of {COVERAGE_BOUNDS}, got {self.bound!r}")
         check_keys(self.bound_overrides, BOUND_OVERRIDES)
@@ -526,18 +528,18 @@ def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[
 
 
 def _setup_ground_truth(config: ExperimentConfig):
-    """Population barycenter, per-variable sigma/C, and the sampling tables."""
+    """Population barycenter, per-variable sigma/C, the largest diameter D,
+    and the trial tolerance: ``config.tol``, or TRIAL_TOL_REL * (1 + D)."""
     space = config.space
     dists = config.distributions
     b_star = population_barycenter(dists[0])
+    D = max(d.diameter() for d in dists)
+    trial_tol = TRIAL_TOL_REL * (1.0 + D) if config.tol is None else config.tol
     if not config.iid:
-        check_tol = config.tol
-        if check_tol is None:
-            check_tol = TRIAL_TOL_REL * (1.0 + max(d.diameter() for d in dists))
         for i, d in enumerate(dists[1:], start=1):
             b_i = population_barycenter(d)
             gap = space.dist(b_star, b_i)
-            if gap > check_tol:
+            if gap > trial_tol:
                 raise ValueError(
                     f"non-i.i.d. mode needs a shared barycenter: distribution {i} "
                     f"({d.label or 'unlabeled'}) is {gap} away from the first"
@@ -547,7 +549,7 @@ def _setup_ground_truth(config: ExperimentConfig):
     for d in dists:
         sigmas.append(math.sqrt(frechet_variance(space, d.as_weighted_sample(), b_star)))
         Cs.append(float(space.row_dist(b_row, space.stack(d.support)).max()))
-    return b_star, sigmas, Cs
+    return b_star, sigmas, Cs, D, trial_tol
 
 
 def run_concentration(config: ExperimentConfig) -> TrialReport:
@@ -566,10 +568,9 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     t0 = time.perf_counter()
     space = config.space
     dists = config.distributions
-    b_star, sigmas, Cs = _setup_ground_truth(config)
+    b_star, sigmas, Cs, D, trial_tol = _setup_ground_truth(config)
     sigma = math.sqrt(sum(s * s for s in sigmas) / len(sigmas))
     C = max(Cs)
-    D = max(d.diameter() for d in dists)
 
     bound_value = _resolve_bound(config, sigma, C, sigmas, Cs)
 
@@ -578,7 +579,6 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
         distances = _block_distances(space, b_star, config.trials, _trial_draws(config),
                                      space.stack(atoms))
     else:
-        trial_tol = TRIAL_TOL_REL * (1.0 + D) if config.tol is None else config.tol
         solved, distances = {}, []
         for t, counts in enumerate(_trial_counts(config)):
             key = counts.tobytes()
@@ -631,9 +631,6 @@ class SturmReport:
     stderr: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def verify_sturm_lln(config: ExperimentConfig) -> SturmReport:
     """Check E[d(S_n, b*)^2] <= (sigma_1^2 + ... + sigma_n^2)/n^2 for the
@@ -641,7 +638,7 @@ def verify_sturm_lln(config: ExperimentConfig) -> SturmReport:
     if config.estimator != "inductive":
         raise ValueError("the Sturm bound applies to the inductive estimator")
     report = run_concentration(config)
-    _, sigmas, _ = _setup_ground_truth(config)
+    sigmas = _setup_ground_truth(config)[1]
     if config.iid:
         sigmas = [sigmas[0]] * config.n
     bound = bounds.sturm_lln_bound(sigmas, config.n)
@@ -677,9 +674,6 @@ class WitnessReport:
     seed: int
     rows: list[WitnessRow]
     passed: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def verify_subgaussian_witness(
@@ -738,9 +732,6 @@ class PacReport:
     seed: int
     passed: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def run_pac(
     space: Space,
@@ -751,20 +742,17 @@ def run_pac(
     use_bernstein: bool = False,
     c_pac: float = 1.0,
     seed: int = 0,
-    tol: float | None = None,
 ) -> PacReport:
     """Stochastic barycenter computation: per trial, draw m uniform indices,
     run the inductive recursion on the subsample, and count a success when
-    the result lands within eps_target of the full-set barycenter.  The
+    the result lands within eps_target of the full-set barycenter, the
+    :func:`population_barycenter` of the uniform measure on ``points``.  The
     trials advance in lockstep, LOCKSTEP_BLOCK at a time."""
+    spec = DistributionSpec(space, points)
+    D = spec.diameter()
+    b_star = population_barycenter(spec)
+    sigma2 = frechet_variance(space, spec.as_weighted_sample(), b_star)
     n = len(points)
-    if n < 1:
-        raise SpaceError("need at least one point")
-    D = sample_diameter(space, points)
-    if tol is None:
-        tol = GROUND_TRUTH_TOL_REL * (1.0 + D)
-    b_star = empirical_barycenter(space, points, tol=tol).point
-    sigma2 = frechet_variance(space, WeightedSample(list(points)), b_star)
     if D == 0.0:
         m = 1
     elif use_bernstein:
@@ -951,7 +939,6 @@ def npc_property_suite(
     seed: int = 0,
     tuple_pairs: int = 200,
     n_range: tuple[int, int] = (2, 10),
-    solver_tol_rel: float = 1e-6,
 ) -> PropertySuiteReport:
     """Randomized verification of the structural properties that hold in
     non-positively curved spaces: the midpoint inequality, constant-speed
@@ -972,6 +959,8 @@ def npc_property_suite(
     for name, count in (("samples", samples), ("tuple_pairs", tuple_pairs)):
         if count < 1:
             raise SpaceError(f"{name} must be >= 1, got {count}")
+    if int(seed) < 0:
+        raise SpaceError(f"seed must be a nonnegative integer, got {seed}")
     if not (isinstance(n_range, (tuple, list)) and len(n_range) == 2
             and all(type(v) is int for v in n_range) and 1 <= n_range[0] <= n_range[1]):
         raise SpaceError(f"n_range must be two ints lo, hi with 1 <= lo <= hi, got {n_range!r}")
@@ -1031,7 +1020,7 @@ def npc_property_suite(
     solved = [(bary[i], bary[P + i], 0.0) for i in range(P)]
     for a, b in spans[P:]:
         xs, ys = list(space.unstack(X[a:b])), list(space.unstack(Y[a:b]))
-        tol = solver_tol_rel * (1.0 + sample_diameter(space, xs + ys))
+        tol = 1e-6 * (1.0 + sample_diameter(space, xs + ys))
         rx = empirical_barycenter(space, xs, tol=tol)
         ry = empirical_barycenter(space, ys, tol=tol)
         solved.append((rx.point, ry.point, rx.error_bound + ry.error_bound))

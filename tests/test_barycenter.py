@@ -645,6 +645,15 @@ def test_pair_blocks_match_the_full_square_bitwise(space, rng, monkeypatch):
         assert (len(sizes) == 3) == (block >= n * n)
 
 
+@pytest.mark.parametrize("space", [Hyperbolic(-1.0, 2), star_tree()], ids=space_id)
+def test_diameter_beyond_the_exact_cap_is_within_a_factor_two(space, rng):
+    # past DIAMETER_EXACT_CAP points the diameter is 2 max_i d(x_0, x_i)
+    pts = random_tuple(space, rng, barycenter.DIAMETER_EXACT_CAP + 1)
+    xs = space.stack(pts)
+    exact = max(float(space.row_dist(xs, xs[i]).max()) for i in range(len(xs)))
+    assert exact <= sample_diameter(space, pts) <= 2.0 * exact
+
+
 @pytest.mark.parametrize("space", all_spaces(), ids=space_id)
 def test_pairwise_variance_universal_bounds(space, rng):
     """sigma^2 <= pairwise <= 4 sigma^2 holds in every metric space; the NPC

@@ -2,6 +2,7 @@
 monotonicity and consistency properties of the formulas."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,48 @@ def test_pac_sample_size_bernstein_values():
     assert pac_sample_size_bernstein(1.0, 2.0, 0.5, 0.99) >= 1
 
 
+@pytest.mark.parametrize("fn, args, fields", [
+    (pac_sample_size, (1e200, 1e-100, 0.1), "D=1e+200, eps_target=1e-100"),
+    (pac_sample_size, (1e300, 1e-300, 0.1), "D=1e+300, eps_target=1e-300"),
+    (pac_sample_size_bernstein, (1.0, 1e300, 1e-300, 0.1), "sigma2=1.0, D=1e+300, eps_target=1e-300"),
+], ids=["ratio-squared-overflows", "size-infinite", "eps-squared-underflows"])
+def test_pac_size_without_a_finite_value_names_its_fields(fn, args, fields):
+    with pytest.raises(ValueError, match=re.escape(fields)):
+        fn(*args)
+
+
+def _size_or_none(formula):
+    """The formulas' own max(1, ceil(.)), None where float arithmetic raises."""
+    try:
+        return max(1, math.ceil(formula()))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+
+
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma2=st.floats(min_value=0.0, max_value=1e300), D=positive, eps=positive,
+       delta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       c=st.floats(min_value=1e-3, max_value=1e3))
+def test_pac_sizes_keep_the_formulas_bits(sigma2, D, eps, delta, c):
+    # where the plain formula evaluates, the size is its value; elsewhere a ValueError
+    cases = [
+        (lambda: pac_sample_size(D, eps, delta, c),
+         lambda: c * (D / eps) ** 2 * max(1.0, math.log(1.0 / delta))),
+        (lambda: pac_sample_size_bernstein(sigma2, D, eps, delta, c),
+         lambda: c * max(sigma2 / eps**2, D / eps) * max(1.0, math.log(1.0 / delta))),
+    ]
+    for size, formula in cases:
+        want = _size_or_none(formula)
+        if want is None:
+            with pytest.raises(ValueError, match="no finite sample size"):
+                size()
+        else:
+            assert size() == want
+
+
 def test_k_epsilon_values():
     assert k_epsilon(1.0, math.pi / 4) == pytest.approx(math.pi / 2, abs=1e-12)
     assert k_epsilon(4.0, math.pi / 8) == pytest.approx(math.pi / 2, abs=1e-12)
@@ -172,6 +215,20 @@ def test_subgaussian_tail_values():
     assert subgaussian_tail(K, K * math.sqrt(2.0 * math.log(2.0))) == pytest.approx(1.0, rel=1e-12)
     assert subgaussian_tail(1.0, 40.0) < 1e-300
     assert subgaussian_tail(1.0, 3.0) == pytest.approx(2.0 * math.exp(-4.5), rel=1e-12)
+
+
+def test_subgaussian_tail_where_K_squared_underflows():
+    # 2 K^2 underflows to 0, and the exponent t^2 / (2 K^2) is taken as (t/K)^2 / 2
+    assert subgaussian_tail(1e-300, 1e300) == 0.0
+    assert subgaussian_tail(1e-300, 0.0) == 1.0
+    assert subgaussian_tail(1e-170, 1e-200) == 1.0
+    assert subgaussian_tail(1e-170, 3e-170) == pytest.approx(2.0 * math.exp(-4.5), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(K=st.floats(min_value=1e-150, max_value=1e300), t=st.floats(min_value=0.0, max_value=1e300))
+def test_subgaussian_tail_keeps_the_formulas_bits(K, t):
+    assert subgaussian_tail(K, t) == min(1.0, 2.0 * math.exp(-(t * t) / (2.0 * K * K)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,11 @@ def test_bounds_queries(tmp_path):
     inp = write(tmp_path / "q4.json", {"bound": "nope"})
     assert main(["bounds", "--input", inp]) == 2
 
+    # 2 K^2 underflows to 0: the tail at t/K = 1e600 is 0
+    inp = write(tmp_path / "q5.json", {"bound": "subgaussian_tail", "K": 1e-300, "t": 1e300})
+    assert main(["bounds", "--input", inp, "--output", str(out)]) == 0
+    assert read(out)["value"] == 0.0
+
 
 def test_experiment_config_file(tmp_path):
     cfg = {
@@ -256,6 +261,25 @@ def test_experiment_failing_bound_exit_code(tmp_path):
     }
     inp = write(tmp_path / "cfg.json", cfg)
     assert main(["experiment", "--config", inp, "--output", str(tmp_path / "r.json")]) == 4
+
+
+def test_experiment_bound_by_name_alone(tmp_path):
+    # "bound": "hoeffding" is read as {"name": "hoeffding"}
+    reports = []
+    for bound in ("hoeffding", {"name": "hoeffding"}):
+        cfg = write(tmp_path / "cfg.json", {**VALID_INPUTS["config"][1], "bound": bound})
+        out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        assert main(["experiment", "--config", cfg, "--output", str(out), "--csv", str(csv)]) == 0
+        report = read(out)
+        report.pop("wall_clock_s")
+        reports.append((report, csv.read_bytes()))
+    assert reports[0] == reports[1] and reports[0][0]["bound_name"] == "hoeffding"
+
+
+def test_experiment_needs_a_config_or_a_preset(capsys):
+    assert main(["experiment"]) == 2
+    err = capsys.readouterr().err
+    assert "--config or --preset" in err and "Traceback" not in err
 
 
 def test_check_spd(tmp_path):
@@ -418,11 +442,36 @@ def mutated(name, path, value):
     # reproduced as a run on (1, 0) weights (exit 0) and a radius of -1.276 (exit 4)
     ("config", ("distributions", 0, "weights"), [True, False], "rational weight"),
     ("config", ("bound", "overrides", "scale"), -1.0, "'scale'"),
+    # reproduced as a traceback (exit 1)
+    ("query", (), {"bound": "pac_sample_size", "D": 1e200, "eps_target": 1e-100, "delta": 0.1},
+     "D=1e+200, eps_target=1e-100"),
+    ("query", (), {"bound": "pac_sample_size", "D": 1e300, "eps_target": 1e-300, "delta": 0.1},
+     "D=1e+300, eps_target=1e-300"),
+    ("query", (), {"bound": "pac_sample_size_bernstein", "sigma2": 1.0, "D": 1e300,
+                   "eps_target": 1e-300, "delta": 0.1}, "sigma2=1.0, D=1e+300, eps_target=1e-300"),
+    # rejected before, but no test reached the branch
+    ("metric_tree", ("space", "tree", "vertices"), ["a", "a", "c", "o"], "duplicate vertex ids"),
+    ("metric_tree", ("space", "tree", "edges", 0), ["o", "o", 1.0], "self-loop"),
+    ("metric_tree", ("space", "tree"), {"vertices": ["a", 1, "c", "o"],
+                                        "edges": [["o", "a", 1.0], ["o", 1, 1.0],
+                                                  ["o", "c", 1.0]]}, "not comparable"),
+    ("metric_tree", ("space", "tree"), {"vertices": ["a", "b", "c", "d"],
+                                        "edges": [["a", "b", 1.0], ["b", "c", 1.0],
+                                                  ["c", "a", 1.0]]}, "'d' unreachable"),
+    ("sphere", ("space", "kappa"), -1.0, "kappa must be > 0"),
+    ("config", ("distributions", 0, "weights"), [math.inf, 0], "not finite"),
+    ("config", ("distributions",), [VALID_INPUTS["config"][1]["distributions"][0]] * 2, "n=5"),
+    ("query", (), {"bound": "hoeffding", "sigma": 1e308, "C": 1e308, "n": 1, "delta": 0.05},
+     "non-finite"),
 ], ids=["points-payload", "spd-ragged", "tree-edge-length", "tree-point-edge", "gm-ragged",
         "config-bound", "config-distributions", "dim-nonintegral", "override-K",
         "override-scale", "override-combine", "points-number", "matrices-number",
         "config-no-n", "query-sigma", "query-sigmas", "points-bool", "points-string",
-        "override-misspelt", "config-misspelt", "weights-bool", "scale-negative"])
+        "override-misspelt", "config-misspelt", "weights-bool", "scale-negative",
+        "pac-ratio-overflow", "pac-size-infinite", "pac-bernstein-underflow",
+        "tree-duplicate-ids", "tree-self-loop", "tree-mixed-ids", "tree-cycle",
+        "sphere-kappa-negative", "weights-infinite", "two-distributions-n5",
+        "query-result-infinite"])
 def test_malformed_input_exit_code(tmp_path, capsys, name, path, value, needle):
     command, doc = mutated(name, path, value)
     assert run_input(doc, command, tmp_path) == 2
@@ -438,11 +487,27 @@ def test_negative_max_cycles_exit_code(tmp_path, capsys, name):
     assert "max_cycles" in err and "Traceback" not in err
 
 
-def test_experiment_negative_seed_exit_code(tmp_path, capsys):
-    assert main(["experiment", "--preset", "hoeffding-euclidean-empirical", "--seed", "-1",
-                 "--output", str(tmp_path / "r.json")]) == 2
+@pytest.mark.parametrize("command", [
+    ["experiment", "--preset", "hoeffding-euclidean-empirical"],
+    ["check", "--space", "euclidean", "--samples", "10", "--tuple-pairs", "2"],
+], ids=["experiment", "check"])
+def test_negative_seed_exit_code(tmp_path, capsys, command):
+    assert main(command + ["--seed", "-1", "--output", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("distributions, tol", [
+    (1, -5.0),  # ran, exit 0
+    (2, -1.0),  # exit 2, naming the shared barycenter check
+], ids=["iid", "noniid"])
+def test_config_tol_must_be_null_or_positive(tmp_path, capsys, distributions, tol):
+    _, cfg = VALID_INPUTS["config"]
+    cfg = {**cfg, "estimator": "inductive", "tol": tol, "n": 2,
+           "distributions": cfg["distributions"] * distributions}
+    assert run_input(cfg, ["experiment", "--config"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "tol must be null or > 0" in err and "Traceback" not in err
 
 
 def _paths(doc, prefix=()):

@@ -865,6 +865,20 @@ def test_pac_trials_match_the_per_trial_recursion(space):
     assert 0 < rep.successes == hits < rep.trials
 
 
+@pytest.mark.parametrize("space, points, needle", [
+    (Euclidean(1), [], "at least one point"),
+    # once read as diameter 0, m = 1 and a pass
+    (Hyperbolic(-1.0, 2), [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 2.0])],
+     "support point 1: not on the hyperboloid"),
+    # no open ball of radius pi/2 holds the three: once a ConvergenceError
+    (Sphere(1.0, 2), [np.array(p) for p in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])],
+     "sphere support too spread"),
+], ids=["empty", "off-sheet", "sphere-spread"])
+def test_pac_points_are_checked_as_a_distribution(space, points, needle):
+    with pytest.raises(SpaceError, match=needle):
+        run_pac(space, points, 0.5, 0.1, 10)
+
+
 def test_pac_eps_at_least_diameter():
     space, pts = pac_points()
     rep = run_pac(space, pts, 2.0, 0.1, 50)
@@ -1012,7 +1026,7 @@ def test_all_nan_check_writes_valid_json():
     assert obj["witness"] == {"row": 0, "excess": None}
 
 
-def _lipschitz_per_pair(space, seed, tuple_pairs, n_range, solver_tol_rel=1e-6):
+def _lipschitz_per_pair(space, seed, tuple_pairs, n_range):
     """The two Lipschitz checks of npc_property_suite(space, samples=1, ...),
     each pair drawn, perturbed, solved and folded in turn by the public
     helpers, and each check's excesses in pair order."""
@@ -1032,7 +1046,7 @@ def _lipschitz_per_pair(space, seed, tuple_pairs, n_range, solver_tol_rel=1e-6):
             if estimator == "inductive":
                 tx, ty = inductive_barycenter(space, xs), inductive_barycenter(space, ys)
             else:
-                tol = solver_tol_rel * (1.0 + sample_diameter(space, xs + ys))
+                tol = 1e-6 * (1.0 + sample_diameter(space, xs + ys))
                 rx = empirical_barycenter(space, xs, tol=tol)
                 ry = empirical_barycenter(space, ys, tol=tol)
                 tx, ty = rx.point, ry.point
