@@ -136,8 +136,6 @@ class WeightedSample:
             total = sum(ws)
             if total != 1:
                 raise SpaceError(f"weights must sum to exactly 1, got {total}")
-            if all(w == 0 for w in ws):
-                raise SpaceError("at least one weight must be positive")
             self.weights = ws
 
     def resolved_weights(self) -> tuple[Fraction, ...]:

@@ -50,7 +50,7 @@ from .spaces import (
     check_keys,
     point_from_json,
     read_field,
-    read_items,
+    read_fields,
     space_from_json,
     space_to_json,
     spd_exp,
@@ -182,12 +182,7 @@ class DistributionSpec:
 
     A spec is frozen, so what is derived from it is computed at most once:
     its diameter on the first :meth:`diameter` call, and its barycenter on
-    the first :func:`population_barycenter` call at the default tolerance.
-    That pays wherever one spec object reaches its ground truth again: a
-    run reads each diameter two or three times, :func:`verify_sturm_lln`
-    sets up again after its run, and runs that share a spec (a sweep over
-    seeds, n or trials through ``dataclasses.replace``) solve b* once.  A
-    spec built afresh for each run gains only the diameter reads."""
+    the first :func:`population_barycenter` call."""
 
     space: Space
     support: list
@@ -235,52 +230,37 @@ class DistributionSpec:
 
     @classmethod
     def from_json(cls, space: Space, obj: dict) -> "DistributionSpec":
-        support = read_items(obj, "support", lambda p: point_from_json(space, p))
-        check_keys(obj, ("support", "weights", "label"))
-        return cls(
-            space=space,
-            support=support,
-            weights=read_field(obj, "weights", list, None),
-            label=read_field(obj, "label", str, ""),
-        )
+        return cls(space, **read_fields(obj, support=lambda p: point_from_json(space, p),
+                                        weights=(list, None), label=(str, "")))
 
 
-def population_barycenter(dist: DistributionSpec, tol: float | None = None):
-    """Barycenter of the full weighted support.
-
-    At the default tolerance, ``GROUND_TRUTH_TOL_REL * (1 + diameter)``, it
-    is solved on the first call and kept on the spec; every later call
-    returns that point, read-only.  An explicit ``tol`` always solves.
+def population_barycenter(dist: DistributionSpec):
+    """Barycenter of the full weighted support, at ``GROUND_TRUTH_TOL_REL *
+    (1 + diameter)``: solved on the first call and kept on the spec, so that
+    every later call returns that point, read-only.
 
     For spheres the support must sit inside an open ball of radius
     pi/(2*sqrt(kappa)) (certified by :func:`~npcbary.barycenter.support_ball`,
     the best support atom as center), which guarantees a unique barycenter;
     otherwise an error names the violated ball condition, on every call.
     """
-    if tol is not None:
-        return _solve_population(dist, tol)
-    memo = dist._memo
+    memo, space = dist._memo, dist.space
     if "b_star" not in memo:
-        b_star = _solve_population(dist, GROUND_TRUTH_TOL_REL * (1.0 + dist.diameter()))
+        tol = GROUND_TRUTH_TOL_REL * (1.0 + dist.diameter())
+        if isinstance(space, Sphere):
+            limit = math.pi / (2.0 * math.sqrt(space.kappa))
+            _, radius = support_ball(space, dist.support)
+            if radius >= limit:
+                raise SpaceError(
+                    "sphere support too spread: needs an open ball of radius "
+                    f"pi/(2*sqrt(kappa)) = {limit}, best support-centered radius is {radius}"
+                )
+        b_star = weighted_barycenter(space, dist.as_weighted_sample(), tol=tol).point
         if isinstance(b_star, np.ndarray):  # tree points are immutable already
             b_star = b_star.copy()
             b_star.flags.writeable = False
         memo["b_star"] = b_star
     return memo["b_star"]
-
-
-def _solve_population(dist: DistributionSpec, tol: float):
-    """The support's weighted barycenter at ``tol``, after a sphere's ball check."""
-    space = dist.space
-    if isinstance(space, Sphere):
-        limit = math.pi / (2.0 * math.sqrt(space.kappa))
-        _, radius = support_ball(space, dist.support)
-        if radius >= limit:
-            raise SpaceError(
-                "sphere support too spread: needs an open ball of radius "
-                f"pi/(2*sqrt(kappa)) = {limit}, best support-centered radius is {radius}"
-            )
-    return weighted_barycenter(space, dist.as_weighted_sample(), tol=tol).point
 
 
 def sample(dist: DistributionSpec, rng: np.random.Generator):
@@ -390,30 +370,19 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         space = space_from_json(read_field(obj, "space", dict))
-        check_keys(obj, ("label", "space", "distributions", "n", "estimator", "trials",
-                         "delta", "seed", "tol", "bound"))
-        bound = read_field(obj, "bound", (str, dict), {})
-        if isinstance(bound, str):
-            bound = {"name": bound}
-        overrides = read_field(bound, "overrides", dict, {})
-        check_keys(bound, ("name", "overrides"))
-        for name, kind in BOUND_OVERRIDES.items():
-            if name in overrides:
-                read_field(overrides, name, kind)
-        return cls(
-            distributions=read_items(
-                obj, "distributions", lambda d: DistributionSpec.from_json(space, d)
-            ),
-            n=read_field(obj, "n", int),
-            estimator=read_field(obj, "estimator", str, "empirical"),
-            trials=read_field(obj, "trials", int),
-            delta=read_field(obj, "delta", float),
-            seed=read_field(obj, "seed", int, 0),
-            tol=read_field(obj, "tol", float, None),
-            bound=read_field(bound, "name", str, "hoeffding"),
-            bound_overrides=dict(overrides),
-            label=read_field(obj, "label", str, ""),
-        )
+        config = read_fields(
+            obj, label=(str, ""), space=dict,
+            distributions=lambda d: DistributionSpec.from_json(space, d), n=int,
+            estimator=(str, "empirical"), trials=int, delta=float, seed=(int, 0),
+            tol=(float, None), bound=((str, dict), {}))
+        del config["space"]
+        bound = config.pop("bound")
+        name, overrides = read_fields({"name": bound} if isinstance(bound, str) else bound,
+                                      name=(str, "hoeffding"), overrides=(dict, {})).values()
+        for key, kind in BOUND_OVERRIDES.items():
+            if key in overrides:
+                read_field(overrides, key, kind)
+        return cls(**config, bound=name, bound_overrides=dict(overrides))
 
 
 @dataclass

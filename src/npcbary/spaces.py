@@ -800,13 +800,13 @@ class MetricTree(Space):
         return {"edge": p.edge, "offset": p.offset}
 
     def payload_from_json(self, payload):
-        vertex = read_field(payload, "vertex", _VERTEX_ID, None)
-        if vertex is not None:
-            return self.vertex_point(vertex)
-        edge = read_field(payload, "edge", int, None)
-        if edge is None:
-            raise SpaceError("tree point payload needs a 'vertex' or 'edge' field")
-        return self.edge_point(edge, read_field(payload, "offset", float, 0.0))
+        # {"vertex": id} or {"edge": e, "offset"?: x}, a null vertex or edge read as absent
+        vertex, edge, offset = read_fields(payload, vertex=(_VERTEX_ID, None), edge=(int, None),
+                                           offset=(float, 0.0)).values()
+        if (vertex is None) == (edge is None) or vertex is not None and "offset" in payload:
+            raise SpaceError('a tree point is {"vertex": id} or {"edge": e, "offset"?: x}, '
+                             f"got {payload!r}")
+        return self.vertex_point(vertex) if edge is None else self.edge_point(edge, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +840,13 @@ _REQUIRED = object()
 
 _VERTEX_ID = (str, int)
 
+# A bound query's formula parameters, whose values evaluate_bound checks.
+FORMULA_ARG = (int, float, str, list)
+
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
                dict: "an object", _VERTEX_ID: "a string or an integer",
-               (str, dict): "a string or an object"}
+               (str, dict): "a string or an object", (list, dict): "a list or an object",
+               FORMULA_ARG: "a number, a string or a list"}
 
 
 def _of_kind(value, kind, what: str):
@@ -884,6 +888,29 @@ def check_keys(obj: dict, known) -> None:
             raise SpaceError(f"unknown field {key!r} (known: {', '.join(known)})")
 
 
+def read_fields(obj, /, **fields) -> dict:
+    """The fields of the JSON object ``obj``, in the order named: each by
+    :func:`read_field` from its kind if required or (kind, default) if not
+    (a tuple of types is a kind), or, for a list field, by the parser of its
+    items, whose SpaceError is re-raised naming ``name[i]``.  Any other key
+    of ``obj`` is a SpaceError naming it."""
+    if isinstance(obj, dict):  # read_field rejects any other obj, naming a field
+        check_keys(obj, fields)
+    out = {}
+    for name, spec in fields.items():
+        if not callable(spec) or isinstance(spec, type):
+            pair = isinstance(spec, tuple) and not isinstance(spec[-1], type)
+            out[name] = read_field(obj, name, *(spec if pair else (spec,)))
+            continue
+        out[name] = []
+        for i, item in enumerate(read_field(obj, name, list)):
+            try:
+                out[name].append(spec(item))
+            except SpaceError as exc:
+                raise SpaceError(f"{name}[{i}]: {exc}") from exc
+    return out
+
+
 def _numbers(payload, kind: str):
     """Nested lists with every leaf checked as a finite JSON number, for the
     array spaces' payloads: np.asarray alone would read true as 1.0 and "1.5"
@@ -891,18 +918,6 @@ def _numbers(payload, kind: str):
     if isinstance(payload, list):
         return [_numbers(item, kind) for item in payload]
     return _of_kind(payload, float, f"{kind}: array entry")
-
-
-def read_items(obj, name: str, parse) -> list:
-    """The list field ``obj[name]`` with ``parse`` applied to each item; an
-    item's SpaceError is re-raised naming ``name[i]``."""
-    out = []
-    for i, item in enumerate(read_field(obj, name, list)):
-        try:
-            out.append(parse(item))
-        except SpaceError as exc:
-            raise SpaceError(f"{name}[{i}]: {exc}") from exc
-    return out
 
 
 def _vertex_id(v):
@@ -922,16 +937,13 @@ def space_from_json(obj: dict) -> Space:
     if cls is None:
         raise SpaceError(f"unknown space kind {kind!r} (known: {sorted(_KINDS)})")
     if cls is MetricTree:
-        tree = read_field(obj, "tree", dict)
-        return MetricTree(
-            vertices=tuple(read_items(tree, "vertices", _vertex_id)),
-            edges=tuple(read_items(tree, "edges", _tree_edge)),
-        )
-    return cls(**{
-        f.name: read_field(obj, f.name, {"int": int, "float": float}[f.type],
-                           _REQUIRED if f.default is MISSING else f.default)
+        tree = read_fields(obj, kind=str, tree=dict)["tree"]
+        return MetricTree(**read_fields(tree, vertices=_vertex_id, edges=_tree_edge))
+    _, *values = read_fields(obj, kind=str, **{
+        f.name: ({"int": int, "float": float}[f.type], _REQUIRED if f.default is MISSING else f.default)
         for f in fields(cls)
-    })
+    }).values()
+    return cls(*values)
 
 
 def point_to_json(space: Space, p) -> dict:
@@ -939,10 +951,11 @@ def point_to_json(space: Space, p) -> dict:
 
 
 def point_from_json(space: Space, obj) -> Any:
-    """Parse a {"space": ..., "payload": ...} object, checking that the space
-    tag matches ``space``."""
-    if isinstance(obj, dict) and "payload" in obj:
-        if "space" in obj and space_from_json(obj["space"]) != space:
-            raise SpaceError("point is tagged with a different space")
-        return space.payload_from_json(obj["payload"])
-    return space.payload_from_json(obj)
+    """A bare payload, or a {"space"?: ..., "payload": ...} object, checking
+    that the space tag matches ``space``."""
+    if not (isinstance(obj, dict) and "payload" in obj):
+        return space.payload_from_json(obj)
+    tag, payload = read_fields(obj, space=(dict, {}), payload=(list, dict)).values()
+    if "space" in obj and space_from_json(tag) != space:
+        raise SpaceError("point is tagged with a different space")
+    return space.payload_from_json(payload)

@@ -517,6 +517,19 @@ def test_empty_input_rejected():
         empirical_barycenter(Euclidean(1), [])
 
 
+@pytest.mark.parametrize("call, needle", [
+    (lambda: brute_force_barycenter(Euclidean(1), []), "at least one point"),
+    (lambda: brute_force_barycenter(star_tree(), [TreePoint(vertex="a")]), "needs grid_step"),
+    (lambda: brute_force_barycenter(Euclidean(1), [np.array([0.0])], candidates=[]),
+     "candidate set is empty"),
+    (lambda: pairwise_variance_estimate(Euclidean(1), []), "at least one point"),
+], ids=["brute-force-no-points", "brute-force-tree-no-step", "brute-force-no-candidates",
+        "pairwise-no-points"])
+def test_oracles_reject_empty_input(call, needle):
+    with pytest.raises(SpaceError, match=needle):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # weighted barycenters
 # ---------------------------------------------------------------------------

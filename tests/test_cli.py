@@ -463,6 +463,26 @@ def mutated(name, path, value):
     ("config", ("distributions",), [VALID_INPUTS["config"][1]["distributions"][0]] * 2, "n=5"),
     ("query", (), {"bound": "hoeffding", "sigma": 1e308, "C": 1e308, "n": 1, "delta": 0.05},
      "non-finite"),
+    # exit 2 before as well: a null space tag or offset is not read as absent
+    ("euclidean", ("points", 1), {"space": None, "payload": [2.0, 0.0]}, "field 'space'"),
+    ("metric_tree", ("points", 1), {"edge": 0, "offset": None}, "field 'offset'"),
+    # reproduced as a silent run on an ignored key or field (exit 0)
+    ("hyperbolic", ("space", "dimm"), 3, "unknown field 'dimm'"),
+    ("metric_tree", ("space", "dim"), 4, "unknown field 'dim'"),
+    ("metric_tree", ("space", "tree", "root"), "o", "unknown field 'root'"),
+    ("metric_tree", ("points", 1), {"edge": 0, "ofset": 0.25}, "unknown field 'ofset'"),
+    ("metric_tree", ("points", 1), {"vertex": "a", "offset": 0.3},
+     "got {'vertex': 'a', 'offset': 0.3}"),
+    ("metric_tree", ("points", 1), {"vertex": "a", "edge": 0, "offset": 0.5},
+     "got {'vertex': 'a', 'edge': 0, 'offset': 0.5}"),
+    ("euclidean", ("points", 1), {"spcae": {"kind": "euclidean", "dim": 2}, "payload": [2.0, 0.0]},
+     "unknown field 'spcae'"),
+    ("euclidean", ("tol",), 1e-3, "unknown field 'tol'"),
+    ("gm", ("tol",), 1e-3, "unknown field 'tol'"),
+    ("query", (), {"bound": "bernstein", "sigma": 1.0, "C": 1.0, "n": 100, "delta": 0.05,
+                   "combin": "min"}, "unknown field 'combin'"),
+    ("query", (), {"bound": "pac_sample_size", "D": 1.0, "eps_target": 0.1, "delta": 0.1,
+                   "cpac": 2.0}, "unknown field 'cpac'"),
 ], ids=["points-payload", "spd-ragged", "tree-edge-length", "tree-point-edge", "gm-ragged",
         "config-bound", "config-distributions", "dim-nonintegral", "override-K",
         "override-scale", "override-combine", "points-number", "matrices-number",
@@ -471,7 +491,10 @@ def mutated(name, path, value):
         "pac-ratio-overflow", "pac-size-infinite", "pac-bernstein-underflow",
         "tree-duplicate-ids", "tree-self-loop", "tree-mixed-ids", "tree-cycle",
         "sphere-kappa-negative", "weights-infinite", "two-distributions-n5",
-        "query-result-infinite"])
+        "query-result-infinite", "tag-space-null", "tree-offset-null", "hyperbolic-dimm",
+        "tree-descriptor-dim", "tree-extra-key", "tree-point-ofset", "tree-vertex-offset",
+        "tree-vertex-edge", "tag-spcae", "points-tol", "gm-tol", "bernstein-combin",
+        "pac-cpac"])
 def test_malformed_input_exit_code(tmp_path, capsys, name, path, value, needle):
     command, doc = mutated(name, path, value)
     assert run_input(doc, command, tmp_path) == 2
@@ -485,6 +508,14 @@ def test_negative_max_cycles_exit_code(tmp_path, capsys, name):
     assert run_input(doc, [command[0], "--max-cycles", "-1", *command[1:]], tmp_path) == 2
     err = capsys.readouterr().err
     assert "max_cycles" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, tol", [("hyperbolic", "0"), ("gm", "-1")])
+def test_nonpositive_tol_exit_code(tmp_path, capsys, name, tol):
+    command, doc = VALID_INPUTS[name]
+    assert run_input(doc, [command[0], "--tol", tol, *command[1:]], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "tol must be > 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -267,11 +267,6 @@ def test_ground_truth_is_solved_once_per_spec(monkeypatch):
     assert np.array_equal(population_barycenter(rebuilt), population_barycenter(cap))
     assert len(solves) == 2
 
-    # an explicit tol always solves
-    population_barycenter(cap, tol=1e-6)
-    population_barycenter(cap, tol=1e-6)
-    assert len(solves) == 4
-
 
 def test_sturm_check_solves_its_ground_truth_once(monkeypatch):
     solves = counted(monkeypatch, "weighted_barycenter")
@@ -376,6 +371,29 @@ def test_config_rejects_unknown_bound():
             distributions=[rademacher()], n=10, estimator="inductive",
             trials=5, delta=0.1, bound="nope",
         )
+
+
+def test_config_rejects_distributions_on_two_spaces():
+    other = DistributionSpec(Euclidean(2), [np.array([0.0, 1.0])])
+    with pytest.raises(ValueError, match="same space"):
+        ExperimentConfig(distributions=[rademacher(), other], n=2, estimator="inductive",
+                         trials=5, delta=0.1)
+
+
+def test_spec_rejects_a_non_finite_atom():
+    with pytest.raises(SpaceError, match="support point 1: non-finite entry"):
+        DistributionSpec(Euclidean(1), [np.array([0.0]), np.array([math.nan])])
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda: hoeffding_config("sphere"), "no coverage preset for 'sphere'"),
+    (lambda: bernstein_config("sphere"), "no small-variance preset for 'sphere'"),
+    (lambda: sturm_config("metric_tree"), "no Sturm preset for 'metric_tree'"),
+    (lambda: preset_config("nope"), "unknown preset 'nope'"),
+], ids=["coverage-kind", "small-variance-kind", "sturm-kind", "preset-name"])
+def test_presets_reject_unknown_names(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
 
 
 def test_run_scaled_down_bound_fails():

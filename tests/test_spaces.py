@@ -144,6 +144,17 @@ def test_tree_point_validation():
         tree.edge_point(0, 5.0)
 
 
+@pytest.mark.parametrize("make, needle", [
+    (lambda tree: TreePoint(), "exactly one of vertex / edge"),
+    (lambda tree: TreePoint(vertex="a", edge=0), "exactly one of vertex / edge"),
+    (lambda tree: tree.stack([np.array([0.0, 0.5])]), "expected a TreePoint, got ndarray"),
+    (lambda tree: tree.grid_points(0), "grid step must be > 0"),
+], ids=["neither", "both", "stack-array", "grid-step-zero"])
+def test_tree_point_rejections(make, needle):
+    with pytest.raises(SpaceError, match=needle):
+        make(star_tree())
+
+
 def test_bad_tree_structures():
     with pytest.raises(SpaceError):
         MetricTree(("a", "b"), ())  # missing edge
