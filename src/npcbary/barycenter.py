@@ -199,21 +199,21 @@ def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
     """The inductive recursion on every row of the index matrix ``idx`` at
     once, row i's points being ``support[idx[i]]``, ``support`` a stack
     (``space.stack``), and the result the stack of the rows' iterates.  All
-    rows advance together through the space's row-wise geodesic, gathering
-    step k's points from column k, so no (rows, n, point) array is built.
+    rows advance together as one frame (``Space._frame``), gathering step k's
+    points from column k, so no (rows, n, point) array is built.
 
     Row i's iterate is read after ``lengths[i]`` points, 1 <= lengths[i] <=
     the width of ``idx``, by default the full width; the columns past it are
     padding, walked with the other rows but never read."""
     cols = np.ascontiguousarray(idx.T)
-    s = support[cols[0]]
-    out = None if lengths is None else s.copy()
+    out = support[cols[0]]
+    frame = space._frame(out)
     for k, col in enumerate(cols[1:], start=2):
-        s = space.row_geodesic(s, support[col], 1.0 / k)
-        if out is not None:
-            live = lengths >= k
-            out[live] = s[live]
-    return s if out is None else out
+        frame = space._frame_geodesic(frame, support[col], 1.0 / k)
+        if lengths is not None and (ends := lengths == k).any():
+            out[ends] = space._frame_point(frame)[ends]
+    # a row that takes no step is its first point, as it is
+    return out if lengths is not None or len(cols) == 1 else space._frame_point(frame)
 
 
 def empirical_barycenter(
@@ -307,36 +307,37 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         return BarycenterResult(s, 0, 0.0, float(weights @ r**2), 0.0)
     if tol is None:
         tol = default_tolerance(space, xs)
-    row, running = xs[:1], masses[0]
+    frame, running = space._frame(xs[:1]), masses[0]
     for k, m in enumerate(masses[1:], start=1):
         running += m
-        row = space.row_geodesic(row, xs[k : k + 1], float(m / running))
-    s = space.unstack(row)[0]
+        frame = space._frame_geodesic(frame, xs[k : k + 1], float(m / running))
     ball, step = None, 0.0
     for iteration in itertools.count():
-        vs, r = space.log(s, xs)
-        g = (weights @ vs.reshape(len(vs), -1)).reshape(vs.shape[1:])
-        g_norm = space.tangent_norm(s, g)
+        frame = space._frame(frame)  # log, the norm and the step share its factor
+        vs, r = space.log(frame, xs)
+        g = (weights @ vs.reshape(len(vs), -1)).reshape(1, *vs.shape[1:])
+        g_norm = float(space.row_tangent_norm(frame, g)[0])
         radius = float(r.max())
         bound = _error_bound(space, g_norm, radius)
-        # the support ball, widened to reach s; no radius certifies ||g|| > tol
+        # the support ball, widened to reach the iterate; no radius certifies ||g|| > tol
         if bound > tol and g_norm <= tol and isinstance(space, Sphere):
             ball = ball or support_ball(space, xs)
             bound = _error_bound(space, g_norm, min(radius, max(ball[1], float(r[ball[0]]))))
         if bound <= tol:
-            return BarycenterResult(s, iteration, step, float(weights @ r**2), bound)
-        # a step below the rounding of the distances it came from moves s no
-        # further, so a bound still above tol is as low as it gets
+            return BarycenterResult(space.unstack(space._frame_point(frame))[0], iteration, step,
+                                    float(weights @ r**2), bound)
+        # a step below the rounding of the distances it came from moves the
+        # iterate no further, so a bound still above tol is as low as it gets
         if iteration >= max_cycles or iteration and step <= STALL_REL * (1.0 + float(r.max())):
             raise ConvergenceError(
                 f"barycenter not certified to {tol} after {iteration} iterations "
                 f"(max_cycles {max_cycles}; error bound {bound}, last step {step})",
-                point=s,
+                point=space.unstack(space._frame_point(frame))[0],
                 displacement=step,
                 iterations=iteration,
             )
         alpha = _step_size(space, weights, r)
-        s = space.exp(s, alpha * g)
+        frame = space._frame_exp(frame, alpha * g, alpha * g_norm)
         step = alpha * g_norm
 
 

@@ -45,6 +45,11 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
+def _log_over(c: float, delta: float) -> float:
+    """log(c / delta): its bits where c / delta is finite, else log c - log delta."""
+    return math.log(c / delta) if c / delta < math.inf else math.log(c) - math.log(delta)
+
+
 def _check_nonneg(value: float, name: str) -> float:
     value = _real(value, name)
     if not value >= 0.0:
@@ -79,7 +84,7 @@ def subgaussian_radius(K: float, sigma: float, n: int, delta: float) -> float:
     sigma = _check_nonneg(sigma, "sigma")
     n = _check_n(n)
     delta = _check_delta(delta)
-    return sigma / math.sqrt(n) + K * math.sqrt(math.log(1.0 / delta) / n)
+    return sigma / math.sqrt(n) + K * math.sqrt(_log_over(1.0, delta) / n)
 
 
 def hoeffding_radius(sigma: float, C: float, n: int, delta: float) -> float:
@@ -108,7 +113,7 @@ def _bernstein(sigma: float, C: float, n: int, delta: float, combine: str) -> fl
     """The Bernstein radius of checked arguments, shared by the i.i.d. and
     the non-i.i.d. forms."""
     fn = _combine_fn(combine)
-    log_term = math.log(1.0 / delta)
+    log_term = _log_over(1.0, delta)
     var_term = 2.0 * sigma * math.sqrt(log_term / n)
     range_term = 8.0 * C * log_term / (3.0 * n)
     return sigma / math.sqrt(n) + fn(var_term, range_term)
@@ -172,7 +177,7 @@ def pac_sample_size(D: float, eps_target: float, delta: float, c_pac: float = 1.
     eps_target = _check_pos(eps_target, "eps_target")
     delta = _check_delta(delta)
     c_pac = _check_pos(c_pac, "c_pac")
-    return _sample_size(lambda: c_pac * (D / eps_target) ** 2 * max(1.0, math.log(1.0 / delta)),
+    return _sample_size(lambda: c_pac * (D / eps_target) ** 2 * max(1.0, _log_over(1.0, delta)),
                         D=D, eps_target=eps_target, delta=delta, c_pac=c_pac)
 
 
@@ -191,7 +196,7 @@ def pac_sample_size_bernstein(
     delta = _check_delta(delta)
     c_pac = _check_pos(c_pac, "c_pac")
     return _sample_size(lambda: c_pac * max(sigma2 / eps_target**2, D / eps_target)
-                        * max(1.0, math.log(1.0 / delta)),
+                        * max(1.0, _log_over(1.0, delta)),
                         sigma2=sigma2, D=D, eps_target=eps_target, delta=delta, c_pac=c_pac)
 
 
@@ -252,7 +257,7 @@ def cat_kappa_radius(
     stoch = (
         (6.0 * math.sqrt(2.0) / math.sqrt(tn) + 16.0)
         / math.sqrt(kappa * tn)
-        * math.sqrt(math.log(2.0 / delta) / n)
+        * math.sqrt(_log_over(2.0, delta) / n)
     )
     return bias + stoch
 

@@ -148,6 +148,25 @@ class Space:
         return self.row_exp_from_base(np.asarray(direction, dtype=float)[None],
                                       np.array([float(radius)]))[0]
 
+    # A solver holds its iterate as a frame between steps, the stack itself but
+    # on SPD; ``log`` and ``row_tangent_norm`` take one where they take x.
+
+    def _frame(self, xs):
+        """The frame of a stack of points, or ``xs`` itself if it is one."""
+        return xs
+
+    def _frame_point(self, frame) -> np.ndarray:
+        """The stack of points that a frame stands for."""
+        return frame
+
+    def _frame_geodesic(self, frame, ys, t):
+        """The frame of ``row_geodesic`` from the frame's points."""
+        return self.row_geodesic(frame, ys, t)
+
+    def _frame_exp(self, frame, vs, norms):
+        """The frame of ``row_exp``, given the tangent norms of ``vs``."""
+        return self.row_exp(frame, vs)
+
     def validate_point(self, p) -> str | None:
         """Return None if ``p`` is a valid point, else a diagnostic string."""
         try:
@@ -273,8 +292,11 @@ class _ModelSpace(Space):
         return _over(theta, self.sn)[:, None] * u, theta / math.sqrt(abs(self.kappa))
 
     def row_exp(self, xs, vs):
+        return self._frame_exp(xs, vs, self.row_tangent_norm(xs, vs))
+
+    def _frame_exp(self, xs, vs, norms):
         # a row whose tangent is zero stays at its x
-        theta = self.row_tangent_norm(xs, vs)[:, None] * math.sqrt(abs(self.kappa))
+        theta = np.reshape(norms, (-1, 1)) * math.sqrt(abs(self.kappa))
         moves = theta > 0.0
         out = self.cs(theta) * xs + self.sn(theta) / np.where(moves, theta, 1.0) * vs
         return np.where(moves, self._project(out), xs)
@@ -401,16 +423,6 @@ def _recompose(U: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (U * w[..., None, :]) @ U.swapaxes(-1, -2)
 
 
-def _factor(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C = U diag(w)^{1/2} and C^{-T} = U diag(w)^{-1/2} from A's clamped
-    eigenpairs, for a matrix or a stack of them.  A = C C^T, and C differs
-    from A^{1/2} by the rotation U, so for any matrix function f,
-    A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} = C f(C^{-1} B C^{-T}) C^T."""
-    w, U = _eigh_clamped(A)
-    r = np.sqrt(w)[..., None, :]
-    return U * r, U / r
-
-
 def _congruence(F: np.ndarray, B: np.ndarray) -> np.ndarray:
     """C^{-1} B C^{-T} from F = C^{-T}."""
     return F.swapaxes(-1, -2) @ B @ F
@@ -428,8 +440,9 @@ class SpdAffine(Space):
 
     The geodesic from A to B is the weighted geometric mean
     A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}, computed as
-    C (C^{-1} B C^{-T})^t C^T for any A = C C^T.  Every map is written over
-    stacks (..., p, p) with one eigendecomposition per matrix.
+    C (C^{-1} B C^{-T})^t C^T for any A = C C^T.  A frame is (C, C^{-T}); a
+    step hands on the factor it holds, C V m^{t/2} ((m, V) the eigenpairs of
+    C^{-1} B C^{-T}) or C V e^{E/2}.  Every map is written over stacks.
     """
 
     p: int
@@ -444,34 +457,53 @@ class SpdAffine(Space):
     def point_shape(self) -> tuple:
         return (self.p, self.p)
 
+    def _frame(self, xs):
+        # (C, C^{-T}), C = U w^{1/2} from clamped eigenpairs; a step's C^{-T} = F V / h
+        if isinstance(xs, tuple):
+            return xs if len(xs) == 2 else (xs[0], (xs[1] @ xs[2]) / xs[3])
+        w, U = _eigh_clamped(xs)
+        r = np.sqrt(w)[..., None, :]
+        return U * r, U / r
+
+    def _frame_point(self, frame):
+        return sym_part(frame[0] @ frame[0].swapaxes(-1, -2))
+
+    def _move(self, frame, B, t=None):
+        """The frame C V h, with F, V and h for ``_frame``, of C V h^2 V^T C^T:
+        (m, V) the eigenpairs of C^{-1} B C^{-T}, h = m^{t/2} (m clamped) or e^{m/2}."""
+        C, F = self._frame(frame)
+        m, V = np.linalg.eigh(sym_part(_congruence(F, B)))
+        h = (np.exp(0.5 * m) if t is None else _clamp(m) ** (0.5 * t))[..., None, :]
+        return (C @ V) * h, F, V, h
+
+    def _frame_geodesic(self, frame, ys, t):
+        return self._move(frame, ys, _check_t(t))
+
+    def _frame_exp(self, frame, vs, norms):
+        return self._move(frame, vs)
+
     def row_dist(self, xs, ys):
-        _, F = _factor(xs)
+        _, F = self._frame(xs)
         m = _clamp(np.linalg.eigvalsh(sym_part(_congruence(F, ys))))
         return np.sqrt((np.log(m) ** 2).sum(axis=-1))
 
     def row_geodesic(self, xs, ys, t):
-        t = _check_t(t)
-        C, F = _factor(xs)
-        m, V = _eigh_clamped(_congruence(F, ys))
-        return sym_part(_recompose(C @ V, m**t))
+        return self._frame_point(self._move(self._frame(xs), ys, _check_t(t)))
 
     def log(self, x, ys):
-        # log_x(y) = C log(C^{-1} y C^{-T}) C^T: one eigendecomposition of x
-        # and one stacked over the atoms
-        C, F = _factor(x)
+        # log_x(y) = C log(C^{-1} y C^{-T}) C^T, x a point or a frame
+        C, F = self._frame(x)
         m, V = _eigh_clamped(_congruence(F, ys))
         logs = np.log(m)
         return sym_part(_recompose(C @ V, logs)), np.sqrt((logs**2).sum(axis=-1))
 
     def row_exp(self, xs, vs):
-        C, F = _factor(xs)
-        e, V = np.linalg.eigh(sym_part(_congruence(F, vs)))
-        return sym_part(_recompose(C @ V, np.exp(e)))
+        return self._frame_point(self._move(self._frame(xs), vs))
 
     def row_tangent_norm(self, xs, vs):
-        # ||x^{-1/2} v x^{-1/2}||_F^2 = tr(a a) with a = x^{-1} v
-        a = np.linalg.solve(xs, vs)
-        return np.sqrt(np.maximum(np.sum(a * a.swapaxes(-1, -2), axis=(-2, -1)), 0.0))
+        # ||x^{-1/2} v x^{-1/2}||_F = ||C^{-1} v C^{-T}||_F for any x = C C^T
+        a = _congruence(self._frame(xs)[1], vs)
+        return np.sqrt((a * a).sum(axis=(-2, -1)))
 
     def _constraint_violation(self, q):
         scale = max(1.0, float(np.abs(q).max()))

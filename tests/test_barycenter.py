@@ -69,6 +69,97 @@ def test_inductive_rows_read_each_row_at_its_length(space, rng):
             assert space.stack([last]).tobytes() == space.stack([expect]).tobytes()
 
 
+def _count_calls(monkeypatch, owner, name) -> list:
+    """A list that grows by one entry per call of ``owner.name``."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spd_walk_factors_once_per_step(p, rng, monkeypatch):
+    # the first column is factored once; each step eigendecomposes only
+    # C^{-1} x_k C^{-T} and hands its factor to the next step
+    space = SpdAffine(p)
+    support = random_points(space, rng, 4)
+    for width in (9, 2, 1):
+        idx = rng.integers(len(support), size=(6, width))
+        calls = _count_calls(monkeypatch, np.linalg, "eigh")
+        inductive_rows(space, support, idx)
+        assert len(calls) == width
+        monkeypatch.undo()
+
+
+def _per_iteration(space, points, monkeypatch, counted):
+    """Calls of each of ``counted`` ((owner, name) pairs) per fixed-point
+    iteration: the difference between two solves of ``points`` that share
+    their warm start, over the difference of their iteration counts."""
+    runs = []
+    for tol in (1e-3, 1e-11):
+        calls = [_count_calls(monkeypatch, owner, name) for owner, name in counted]
+        res = empirical_barycenter(space, points, tol=tol)
+        runs.append((res.iterations, [len(c) for c in calls]))
+        monkeypatch.undo()
+    (i1, c1), (i2, c2) = runs
+    assert i2 > i1
+    return [(b - a) / (i2 - i1) for a, b in zip(c1, c2)]
+
+
+def test_spd_karcher_iteration_work(rng, monkeypatch):
+    # one eigendecomposition over the atoms for the log maps, one for the
+    # exponential step, and the tangent norm from the carried C^{-T}
+    space = SpdAffine(3)
+    points = list(random_points(space, rng, 5))
+    eigh, solve = _per_iteration(space, points, monkeypatch,
+                                 [(np.linalg, "eigh"), (np.linalg, "solve")])
+    assert eigh <= 2
+    assert solve == 0
+
+
+def test_hyperbolic_karcher_iteration_forms_one_norm(rng, monkeypatch):
+    space = Hyperbolic(-1.0)
+    points = list(random_points(space, rng, 5))
+    (norms,) = _per_iteration(space, points, monkeypatch, [(Hyperbolic, "row_tangent_norm")])
+    assert norms == 1
+
+
+def _spd_reference_step(A, B, t):
+    """A #_t B with A eigendecomposed afresh, as C (C^{-1} B C^{-T})^t C^T."""
+    def eigh_clamped(M):
+        w, U = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+        return np.maximum(w, 1e-12 * np.maximum(w[..., -1:], 1e-300)), U
+
+    w, U = eigh_clamped(A)
+    C, F = U * np.sqrt(w)[..., None, :], U / np.sqrt(w)[..., None, :]
+    m, V = eigh_clamped(F.swapaxes(-1, -2) @ B @ F)
+    CV = C @ V
+    out = (CV * (m**t)[..., None, :]) @ CV.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
+
+
+def test_spd_carried_factor_does_not_drift(rng):
+    # 2,000 steps over atoms of condition number 10^4: the walk that hands
+    # its factor on stays with the walk that factors every iterate
+    space = SpdAffine(3)
+    atoms = []
+    for _ in range(4):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = (q * np.array([1e-2, 1.0, 1e2])) @ q.T
+        atoms.append(0.5 * (m + m.T))
+    support = space.stack(atoms)
+    order = rng.integers(len(atoms), size=2000)
+    walked = inductive_rows(space, support, order[None])[0]
+    ref = support[order[0]]
+    for k, i in enumerate(order[1:].tolist(), start=2):
+        ref = _spd_reference_step(ref, support[i], 1.0 / k)
+    assert space.dist(walked, ref) <= 1e-10 * (1.0 + sample_diameter(space, atoms))
+
+
 def test_inductive_is_running_mean(rng):
     space = Euclidean(3)
     pts = [rng.standard_normal(3) for _ in range(11)]

@@ -139,12 +139,14 @@ positive = st.floats(min_value=1e-300, max_value=1e300)
        delta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
        c=st.floats(min_value=1e-3, max_value=1e3))
 def test_pac_sizes_keep_the_formulas_bits(sigma2, D, eps, delta, c):
-    # where the plain formula evaluates, the size is its value; elsewhere a ValueError
+    # where the plain formula evaluates, the size is its value; elsewhere a
+    # ValueError.  log(1/delta) is log(1) - log(delta) where 1/delta overflows
+    log_inv = math.log(1.0 / delta) if 1.0 / delta < math.inf else -math.log(delta)
     cases = [
         (lambda: pac_sample_size(D, eps, delta, c),
-         lambda: c * (D / eps) ** 2 * max(1.0, math.log(1.0 / delta))),
+         lambda: c * (D / eps) ** 2 * max(1.0, log_inv)),
         (lambda: pac_sample_size_bernstein(sigma2, D, eps, delta, c),
-         lambda: c * max(sigma2 / eps**2, D / eps) * max(1.0, math.log(1.0 / delta))),
+         lambda: c * max(sigma2 / eps**2, D / eps) * max(1.0, log_inv)),
     ]
     for size, formula in cases:
         want = _size_or_none(formula)
@@ -282,6 +284,27 @@ def test_pac_sizes_positive_and_monotone(D, eps, delta):
     assert pac_sample_size(D, eps, delta, c_pac=2.0) >= m
     mb = pac_sample_size_bernstein(D * D, D, eps, delta)
     assert mb >= 1
+
+
+def test_tiny_delta_stays_finite():
+    # 1/delta and 2/delta overflow for these delta; log(c) - log(delta) does not
+    log_inv = -math.log(5e-324)
+    assert pac_sample_size(1.0, 0.1, 5e-324) == math.ceil(100.0 * log_inv) == 74445
+    assert hoeffding_radius(1.0, 1.0, 100, 5e-324) == pytest.approx(
+        0.1 + 2.0 * math.sqrt(log_inv / 100), rel=1e-12)
+    tn = math.tan(math.pi / 4)
+    want = (288.0 * math.sqrt(2.0) / tn * math.sqrt(2 / 10**4)
+            + (6.0 * math.sqrt(2.0) / math.sqrt(tn) + 16.0) / math.sqrt(tn)
+            * math.sqrt((math.log(2.0) - math.log(1e-308)) / 10**4))
+    got = cat_kappa_radius(A=2, p=2, kappa=1, epsilon=math.pi / 4, n=10**4, delta=1e-308)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_log_over_keeps_the_bits_of_finite_quotients():
+    for c in (1.0, 2.0):
+        for delta in [*(10.0 ** (-k / 3.0) for k in range(1, 901)), 0.05, 0.999,
+                      1 - 1e-12, c / 1.7e308]:
+            assert bounds._log_over(c, delta) == math.log(c / delta)
 
 
 def test_invalid_inputs_rejected():
