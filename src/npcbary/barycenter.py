@@ -148,15 +148,16 @@ class WeightedSample:
 def _pair_dists(space: Space, xs: np.ndarray, upper: bool):
     """d(x_i, x_j) over the pairs of the stack ``xs``, all n^2 of them or
     those with i < j (``upper``), in row-major order: one array per block of
-    rows i, each of at most max(PAIR_BLOCK, n) pairs."""
+    rows i, each of at most max(PAIR_BLOCK, n) pairs; ``xs`` is factored once."""
     n = len(xs)
+    frame = space._frame(xs)
     k = np.arange(n)
     rows = k[: n - 1] if upper else k
     step = max(1, PAIR_BLOCK // n)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         i, j = np.nonzero(block[:, None] < k) if upper else np.divmod(np.arange(len(block) * n), n)
-        yield space.row_dist(xs[block[i]], xs[j])
+        yield space.row_dist(space._frame_rows(frame, block[i]), xs[j])
 
 
 def sample_diameter(space: Space, points: Sequence) -> float:

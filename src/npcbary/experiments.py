@@ -756,52 +756,65 @@ def run_pac(
 # ---------------------------------------------------------------------------
 
 
-def _point_draws(space: Space, rng: np.random.Generator):
-    """``(draw, place)`` for the spaces drawn a point at a time: ``draw()``
-    takes one point's variates from ``rng`` as a tuple, and ``place`` puts
-    the columns of a list of them on the space as one stack."""
+def _variates(space: Space, rng: np.random.Generator, k: int, points: int,
+              uniforms: int = 0) -> tuple[tuple, np.ndarray]:
+    """Raw variates of k instances of a layout (``points`` random points, then
+    ``uniforms`` plain uniforms each) from a per-instance loop of generator calls
+    only: arrays over the points in instance order, for :func:`_place`, and the uniforms."""
+    rows, uniform = k * points, np.empty((k, uniforms))
+    if isinstance(space, SpdAffine):
+        width = points * space.p ** 2
+        u = rng.random((k, width + uniforms))
+        return ((-1.0 + 2.0 * u[:, :width]).reshape(rows, space.p, space.p),), u[:, width:]
     if isinstance(space, Euclidean):
-        return lambda: (rng.standard_normal(space.dim),), lambda v: v
+        (normals,) = cols = (np.empty((rows, space.dim)),)
+        def instance(a, b):
+            normals[a:b] = rng.standard_normal((points, space.dim))
+    elif isinstance(space, (Hyperbolic, Sphere)):
+        # a direction, its norm (1 for a zero direction) and a uniform for its radius
+        normals, norms, u = cols = (np.empty((rows, space.dim)), np.ones(rows), np.zeros(rows))
+        def instance(a, b):
+            for r in range(a, b):
+                v = normals[r] = rng.standard_normal(space.dim)
+                nrm = math.sqrt(float(v @ v))
+                if nrm:  # the zero direction is the base point, and draws no radius
+                    norms[r], u[r] = nrm, rng.random()
+    elif isinstance(space, MetricTree):
+        edges, u = cols = (np.empty(rows, dtype=int), np.empty(rows))  # an edge and a uniform
+        def instance(a, b):
+            for r in range(a, b):
+                edges[r], u[r] = rng.integers(len(space.edges)), rng.random()
+    else:
+        raise SpaceError(f"no random generator for space kind {space.kind!r}")
+    for i in range(k):
+        instance(i * points, (i + 1) * points)
+        if uniforms:
+            uniform[i] = rng.random(uniforms)
+    return cols, uniform
+
+
+def _place(space: Space, variates: tuple) -> np.ndarray:
+    """The stack of the points whose variates :func:`_variates` drew, placed with
+    one call: the normals, ``spd_exp``, ``row_exp_from_base`` or ``_edge_rows``."""
+    if isinstance(space, SpdAffine):
+        return spd_exp(sym_part(variates[0]))
     if isinstance(space, (Hyperbolic, Sphere)):
+        normals, norms, u = variates
         cap = 2.0 if isinstance(space, Hyperbolic) else math.pi / (4.0 * math.sqrt(space.kappa))
-
-        def draw():
-            v = rng.standard_normal(space.dim)
-            nrm = math.sqrt(float(v @ v))
-            # the zero direction is the base point, and draws no radius
-            return v, nrm or 1.0, cap * rng.random() if nrm else 0.0
-
-        return draw, lambda v, nrm, radii: space.row_exp_from_base(v / nrm[:, None], radii)
+        return space.row_exp_from_base(normals / norms[:, None], cap * u)
     if isinstance(space, MetricTree):
-        lengths = space._len.tolist()  # edge lengths, by stack code
-
-        def draw():
-            code = int(rng.integers(len(space.edges))) + len(space.vertices)
-            return code, lengths[code] * rng.random()
-
-        return draw, space._edge_rows
-    raise SpaceError(f"no random generator for space kind {space.kind!r}")
+        codes = variates[0] + len(space.vertices)
+        return space._edge_rows(codes, space._len[codes] * variates[1])
+    return variates[0]
 
 
 def _draw_instances(space: Space, rng: np.random.Generator, k: int, points: int,
                     uniforms: int = 0) -> tuple[list[np.ndarray], np.ndarray]:
-    """k instances of a layout, ``points`` random points then ``uniforms``
-    plain uniforms each, drawn from ``rng`` as a per-instance loop would
-    draw them (README.md, "Notes on the solver"): the stack of each of the
-    layout's points, placed as one block, and the (k, uniforms) uniforms."""
-    if isinstance(space, SpdAffine):
-        width = points * space.p ** 2
-        u = rng.random((k, width + uniforms))
-        mats = (-1.0 + 2.0 * u[:, :width]).reshape(k * points, space.p, space.p)
-        block, uniform = spd_exp(sym_part(mats)), u[:, width:]
-    else:
-        draw, place = _point_draws(space, rng)
-        rows, uniform = [], np.empty((k, uniforms))
-        for u in uniform:
-            rows += [draw() for _ in range(points)]
-            if uniforms:
-                u[:] = rng.random(uniforms)
-        block = place(*map(np.array, zip(*rows))) if rows else space.stack([])
+    """The :func:`_variates` of k instances of a layout, placed as one block
+    (README.md, "Notes on the solver"): the stack of each of the layout's
+    points, and the (k, uniforms) uniforms."""
+    variates, uniform = _variates(space, rng, k, points, uniforms)
+    block = _place(space, variates)  # the layout's points, in instance order
     return [block[j::points] for j in range(points)], uniform
 
 
@@ -892,14 +905,35 @@ def _midpoint_excess_rows(space: Space, xs, ys, zs) -> tuple[np.ndarray, np.ndar
     """For each row of three stacks of points, the signed violation of the
     midpoint inequality d(z,m)^2 <= (d(z,x)^2 + d(z,y)^2)/2 - d(x,y)^2/4 at
     m the geodesic midpoint, and the squared scale of the triple for
-    tolerance scaling."""
-    m = space.row_geodesic(xs, ys, 0.5)
-    dzx = space.row_dist(zs, xs)
-    dzy = space.row_dist(zs, ys)
-    dxy = space.row_dist(xs, ys)
-    lhs = space.row_dist(zs, m) ** 2
+    tolerance scaling; xs and zs are each factored once (``Space._frame``)."""
+    fx, fz = space._frame(xs), space._frame(zs)
+    m = space.row_geodesic(fx, ys, 0.5)
+    dzx, dzy = space.row_dist(fz, xs), space.row_dist(fz, ys)
+    dxy = space.row_dist(fx, ys)
+    lhs = space.row_dist(fz, m) ** 2
     rhs = 0.5 * (dzx**2 + dzy**2) - 0.25 * dxy**2
     return lhs - rhs, dzx**2 + dzy**2 + dxy**2
+
+
+def _speed_error_rows(space: Space, xs, ys, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, |d(gamma(s), gamma(t)) - |s - t| d(x, y)| on the geodesic
+    gamma from x to y, and d(x, y); xs is factored once."""
+    fx = space._frame(xs)
+    d = space.row_dist(fx, ys)
+    gs, gt = space.row_geodesic(fx, ys, s), space.row_geodesic(fx, ys, t)
+    return np.abs(space.row_dist(gs, gt) - np.abs(s - t) * d), d
+
+
+def _tuple_pairs(space: Space, rng: np.random.Generator, count: int, n_range):
+    """The ns and the stacks X and Y of ``count`` pairs of tuples: xs, and xs
+    perturbed, drawn as raw variates in the order of a per-pair loop and placed once."""
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        pairs.append((n, _variates(space, rng, n, 1)[0], *_variates(space, rng, n, 1, 1)))
+    ns, tuples, targets, fractions = zip(*pairs)
+    X, targets = (_place(space, tuple(map(np.concatenate, zip(*v)))) for v in (tuples, targets))
+    return ns, X, _perturb(space, X, targets, np.concatenate(fractions))
 
 
 def npc_property_suite(
@@ -915,10 +949,10 @@ def npc_property_suite(
     the L1 product metric, on ``tuple_pairs`` pairs of n-tuples per map, n
     uniform on the ints ``n_range`` = (lo, hi), 1 <= lo <= hi.
 
-    The Lipschitz pairs are drawn first, in the stream order of a per-pair
-    loop, and then perturbed and measured together; both tuples of every
-    inductive pair walk one :func:`inductive_rows` call, while the empirical
-    pairs are solved a pair at a time (README.md, "Notes on the solver").
+    Each check draws raw variates in the stream order of a per-instance loop,
+    places them one call per block (the Lipschitz pairs' too) and factors each
+    drawn stack once; both tuples of every inductive pair walk one :func:`inductive_rows`
+    call, and the empirical pairs are solved a pair at a time (README.md, "Notes on the solver").
 
     Positively curved spaces are rejected; the midpoint inequality is exactly
     what they fail.
@@ -952,26 +986,14 @@ def npc_property_suite(
     for k in chunks:
         (X, Y), u = _draw_instances(space, rng, k, 2, 2)
         S, T = u.T
-        d = space.row_dist(X, Y)
-        err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
-                     - np.abs(S - T) * d)
+        err, d = _speed_error_rows(space, X, Y, S, T)
         speed.fold(err - 1e-8 * (1.0 + d),
                    lambda i: {"x": to_json(X[i]), "y": to_json(Y[i]), "s": float(S[i]),
                               "t": float(T[i]), "error": float(err[i])})
 
-    # the pairs of the inductive check, then the empirical one's, drawn in
-    # the order of a per-pair loop: pair i's n, its tuple xs and the
-    # perturbation that moves xs to ys; the geometry follows for all at once
+    # the inductive check's pairs, then the empirical one's; then all their geometry
     P = tuple_pairs
-    pairs = []
-    for _ in range(2 * P):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        xs = random_points(space, rng, n)
-        (targets,), u = _draw_instances(space, rng, n, 1, 1)
-        pairs.append((n, xs, targets, u))
-    ns, tuples, targets, fractions = zip(*pairs)
-    X = np.concatenate(tuples)
-    Y = _perturb(space, X, np.concatenate(targets), np.concatenate(fractions))
+    ns, X, Y = _tuple_pairs(space, rng, 2 * P, n_range)
     ends = np.cumsum(ns)
     starts = ends - ns
     spans = list(zip(starts.tolist(), ends.tolist()))

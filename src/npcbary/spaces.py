@@ -159,6 +159,10 @@ class Space:
         """The stack of points that a frame stands for."""
         return frame
 
+    def _frame_rows(self, frame, idx):
+        """The frame of the rows ``idx`` of a frame's stack."""
+        return frame[idx]
+
     def _frame_geodesic(self, frame, ys, t):
         """The frame of ``row_geodesic`` from the frame's points."""
         return self.row_geodesic(frame, ys, t)
@@ -467,6 +471,9 @@ class SpdAffine(Space):
 
     def _frame_point(self, frame):
         return sym_part(frame[0] @ frame[0].swapaxes(-1, -2))
+
+    def _frame_rows(self, frame, idx):
+        return frame[0][idx], frame[1][idx]
 
     def _move(self, frame, B, t=None):
         """The frame C V h, with F, V and h for ``_frame``, of C V h^2 V^T C^T:

@@ -95,6 +95,34 @@ def test_spd_walk_factors_once_per_step(p, rng, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_spd_pair_statistics_equal_a_per_pair_reference(p, rng):
+    # the reference factors x_i once per pair; 260 points take two blocks
+    space, n = SpdAffine(p), 260
+    xs = random_points(space, rng, n)
+    points = list(xs)
+    i, j = np.triu_indices(n, 1)
+    upper = space.row_dist(xs[i], xs[j])
+    assert sample_diameter(space, points) == float(upper.max())
+    assert pairwise_variance_estimate(space, points) == 2.0 * sum(
+        r**2 for r in upper.tolist()) / (n * n)
+    i, j = np.divmod(np.arange(n * n), n)
+    radii = space.row_dist(xs[i], xs[j]).reshape(n, n).max(axis=1)
+    assert support_ball(space, points) == (int(np.argmin(radii)), float(radii.min()))
+
+
+def test_pair_distances_factor_each_spd_point_once(rng, monkeypatch):
+    space, n = SpdAffine(3), 40
+    points = list(random_points(space, rng, n))
+    for stat in (sample_diameter, support_ball, pairwise_variance_estimate):
+        factored, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda M: factored.append(len(M.reshape(-1, 3, 3))) or eigh(M))
+        stat(space, points)
+        assert sum(factored) == n  # not one per pair
+        monkeypatch.undo()
+
+
 def _per_iteration(space, points, monkeypatch, counted):
     """Calls of each of ``counted`` ((owner, name) pairs) per fixed-point
     iteration: the difference between two solves of ``points`` that share

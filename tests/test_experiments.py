@@ -38,7 +38,9 @@ from npcbary.experiments import (
     PROPERTY_CHUNK,
     PropertyCheck,
     TRIAL_TOL_REL,
+    _draw_instances,
     _midpoint_excess_rows,
+    _speed_error_rows,
     draw_counts,
     draw_indices,
     perturbed_tuple,
@@ -47,6 +49,7 @@ from npcbary.experiments import (
     random_tuple,
     trial_rng,
 )
+from npcbary.spaces import sym_part
 from npcbary.presets import (
     PRESETS,
     bernstein_config,
@@ -954,6 +957,43 @@ def test_property_suite_checks_in_chunks(space):
     excess, sq_scale = _midpoint_excess_rows(space, P[0::3], P[1::3], P[2::3])
     assert midpoint.max_excess == excess.max()
     assert midpoint.violations == np.count_nonzero(excess > 1e-8 * (1.0 + sq_scale))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_checks_from_frames_equal_plain_stacks_bitwise(p):
+    # the plain-stack forms factor the first stack of every call anew
+    space = SpdAffine(p)
+    rng = np.random.default_rng(5)
+    (X, Y, Z), _ = _draw_instances(space, rng, 300, 3)
+    dzx, dzy, dxy = space.row_dist(Z, X), space.row_dist(Z, Y), space.row_dist(X, Y)
+    lhs = space.row_dist(Z, space.row_geodesic(X, Y, 0.5)) ** 2
+    excess, sq_scale = _midpoint_excess_rows(space, X, Y, Z)
+    assert excess.tobytes() == (lhs - (0.5 * (dzx**2 + dzy**2) - 0.25 * dxy**2)).tobytes()
+    assert sq_scale.tobytes() == (dzx**2 + dzy**2 + dxy**2).tobytes()
+    (X, Y), u = _draw_instances(space, rng, 300, 2, 2)
+    S, T = u.T
+    d = space.row_dist(X, Y)
+    err = np.abs(space.row_dist(space.row_geodesic(X, Y, S), space.row_geodesic(X, Y, T))
+                 - np.abs(S - T) * d)
+    got_err, got_d = _speed_error_rows(space, X, Y, S, T)
+    assert got_err.tobytes() == err.tobytes() and got_d.tobytes() == d.tobytes()
+
+
+def test_spd_suite_places_each_block_once_and_factors_each_stack_once(monkeypatch):
+    space, samples = SpdAffine(3), 200
+    rng = np.random.default_rng(3)
+    drawn = [*_draw_instances(space, rng, samples, 3)[0],
+             *_draw_instances(space, rng, samples, 2, 2)[0]]
+    places = counted(monkeypatch, "spd_exp")
+    factored, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: factored.append(M.tobytes()) or eigh(M))
+    npc_property_suite(space, samples=samples, seed=3, tuple_pairs=6)
+    # one block each: the midpoint and constant-speed instances, then the
+    # Lipschitz pairs' tuples and their perturbation targets
+    assert len(places) == 4
+    # the checks factor no drawn stack twice (the midpoint's z, for one, is
+    # the first stack of three distance calls)
+    assert [factored.count(sym_part(stack).tobytes()) for stack in drawn] == [1, 0, 1, 1, 0]
 
 
 def _record_fold(check, excess, slack, witness):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from npcbary import Euclidean, Hyperbolic, SpaceError, SpdAffine, Sphere
-from npcbary.experiments import (PERTURB_SCALE, _draw_instances, perturbed_tuple, random_point,
-                                 random_points)
+from npcbary.experiments import (PERTURB_SCALE, _draw_instances, _perturb, _tuple_pairs,
+                                 perturbed_tuple, random_point, random_points)
 from npcbary.spaces import TreePoint, spd_exp, sym_part
 
 from conftest import path_tree, star_tree
@@ -129,6 +129,24 @@ def test_perturbation_equals_a_per_point_loop_bitwise(space):
         ts.append(ref_rng.uniform(0.0, PERTURB_SCALE))
     ref = space.row_geodesic(xs, _place_reference(space, targets), np.array(ts))
     assert np.array_equal(space.stack(ys), ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("space", DRAW_SPACES, ids=repr)
+def test_tuple_pairs_placed_once_equal_per_pair_draws_bitwise(space):
+    # each pair drawn and placed on its own: its n, its tuple, then its
+    # perturbation targets and fractions
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    ns, X, Y = _tuple_pairs(space, rng, 14, (1, 9))
+    ref_ns, xs, ys = [], [], []
+    for _ in range(14):
+        n = int(ref_rng.integers(1, 10))
+        x = random_points(space, ref_rng, n)
+        (targets,), u = _draw_instances(space, ref_rng, n, 1, 1)
+        ref_ns.append(n), xs.append(x), ys.append(_perturb(space, x, targets, u))
+    assert list(ns) == ref_ns
+    for got, want in ((X, np.concatenate(xs)), (Y, np.concatenate(ys))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
