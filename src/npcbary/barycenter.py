@@ -150,7 +150,7 @@ def _pair_dists(space: Space, xs: np.ndarray, upper: bool):
     those with i < j (``upper``), in row-major order: one array per block of
     rows i, each of at most max(PAIR_BLOCK, n) pairs; ``xs`` is factored once."""
     n = len(xs)
-    frame = space._frame(xs)
+    frame = space._factor(xs)
     k = np.arange(n)
     rows = k[: n - 1] if upper else k
     step = max(1, PAIR_BLOCK // n)
@@ -200,17 +200,19 @@ def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
     """The inductive recursion on every row of the index matrix ``idx`` at
     once, row i's points being ``support[idx[i]]``, ``support`` a stack
     (``space.stack``), and the result the stack of the rows' iterates.  All
-    rows advance together as one frame (``Space._frame``), gathering step k's
-    points from column k, so no (rows, n, point) array is built.
+    rows advance together as one frame (``Space._frame``: the stack, SPD's
+    factor pair, or a tree's distances to its vertices), gathering step k's
+    points from column k of the support, taken once as ``_frame_targets``,
+    so no (rows, n, point) array is built and a tree step takes no route.
 
     Row i's iterate is read after ``lengths[i]`` points, 1 <= lengths[i] <=
     the width of ``idx``, by default the full width; the columns past it are
     padding, walked with the other rows but never read."""
     cols = np.ascontiguousarray(idx.T)
     out = support[cols[0]]
-    frame = space._frame(out)
+    targets, frame = space._frame_targets(support), space._frame(out)
     for k, col in enumerate(cols[1:], start=2):
-        frame = space._frame_geodesic(frame, support[col], 1.0 / k)
+        frame = space._frame_geodesic(frame, targets[col], 1.0 / k)
         if lengths is not None and (ends := lengths == k).any():
             out[ends] = space._frame_point(frame)[ends]
     # a row that takes no step is its first point, as it is
@@ -303,9 +305,8 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
     weights = np.array([float(m / total) for m in masses])
     xs = xs[first]
     if isinstance(space, MetricTree):
-        s = space.frechet_mean([points[i] for i in first.tolist()], weights)
-        r = space.row_dist(xs, space.stack([s]))
-        return BarycenterResult(s, 0, 0.0, float(weights @ r**2), 0.0)
+        row, objective = space._mean(xs, weights)
+        return BarycenterResult(space.unstack(row)[0], 0, 0.0, objective, 0.0)
     if tol is None:
         tol = default_tolerance(space, xs)
     frame, running = space._frame(xs[:1]), masses[0]

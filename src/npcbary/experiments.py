@@ -905,8 +905,8 @@ def _midpoint_excess_rows(space: Space, xs, ys, zs) -> tuple[np.ndarray, np.ndar
     """For each row of three stacks of points, the signed violation of the
     midpoint inequality d(z,m)^2 <= (d(z,x)^2 + d(z,y)^2)/2 - d(x,y)^2/4 at
     m the geodesic midpoint, and the squared scale of the triple for
-    tolerance scaling; xs and zs are each factored once (``Space._frame``)."""
-    fx, fz = space._frame(xs), space._frame(zs)
+    tolerance scaling; xs and zs are each factored once (``Space._factor``)."""
+    fx, fz = space._factor(xs), space._factor(zs)
     m = space.row_geodesic(fx, ys, 0.5)
     dzx, dzy = space.row_dist(fz, xs), space.row_dist(fz, ys)
     dxy = space.row_dist(fx, ys)
@@ -918,7 +918,7 @@ def _midpoint_excess_rows(space: Space, xs, ys, zs) -> tuple[np.ndarray, np.ndar
 def _speed_error_rows(space: Space, xs, ys, s, t) -> tuple[np.ndarray, np.ndarray]:
     """For each row, |d(gamma(s), gamma(t)) - |s - t| d(x, y)| on the geodesic
     gamma from x to y, and d(x, y); xs is factored once."""
-    fx = space._frame(xs)
+    fx = space._factor(xs)
     d = space.row_dist(fx, ys)
     gs, gt = space.row_geodesic(fx, ys, s), space.row_geodesic(fx, ys, t)
     return np.abs(space.row_dist(gs, gt) - np.abs(s - t) * d), d

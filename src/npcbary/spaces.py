@@ -148,19 +148,32 @@ class Space:
         return self.row_exp_from_base(np.asarray(direction, dtype=float)[None],
                                       np.array([float(radius)]))[0]
 
-    # A solver holds its iterate as a frame between steps, the stack itself but
-    # on SPD; ``log`` and ``row_tangent_norm`` take one where they take x.
+    # A solver holds its iterate as a frame between steps: the stack itself,
+    # SPD's factor pair, or a tree's rows of distances to its vertices.  SPD's
+    # row forms, ``log`` and ``row_tangent_norm`` take its frame where they
+    # take x, so a caller that measures from one stack many times factors it
+    # once (``_factor``); a tree's row forms take only stacks.
+
+    def _factor(self, xs):
+        """``xs`` as the row forms take it where they take x, factored once:
+        its frame on SPD, else the stack itself."""
+        return xs
 
     def _frame(self, xs):
-        """The frame of a stack of points, or ``xs`` itself if it is one."""
+        """The frame of a stack of points; a smooth space's also of a frame."""
         return xs
+
+    def _frame_targets(self, ys):
+        """The stack ``ys`` as ``_frame_geodesic`` takes its far ends: the
+        stack itself but on a tree, where it is their frame."""
+        return ys
 
     def _frame_point(self, frame) -> np.ndarray:
         """The stack of points that a frame stands for."""
         return frame
 
     def _frame_rows(self, frame, idx):
-        """The frame of the rows ``idx`` of a frame's stack."""
+        """The frame, or the factor, of the rows ``idx`` of its stack."""
         return frame[idx]
 
     def _frame_geodesic(self, frame, ys, t):
@@ -469,6 +482,8 @@ class SpdAffine(Space):
         r = np.sqrt(w)[..., None, :]
         return U * r, U / r
 
+    _factor = _frame
+
     def _frame_point(self, frame):
         return sym_part(frame[0] @ frame[0].swapaxes(-1, -2))
 
@@ -559,7 +574,9 @@ class MetricTree(Space):
     a tree compares and hashes by its vertices and edges alone.  A stack of
     tree points is a float (k, 2) array of (code, offset) rows: code v < V
     is vertex ``vertices[v]`` at offset 0, and code V + e the point of edge
-    e at ``offset`` from its lower-id endpoint.
+    e at ``offset`` from its lower-id endpoint.  The row forms route each
+    pair through the tables; a walk holds its iterate as a frame instead,
+    its (k, V) distances to the vertices, and steps without a route.
     """
 
     vertices: tuple
@@ -771,6 +788,37 @@ class MetricTree(Space):
         np.copyto(off, np.where(ay == lo[cy], r, ln - r), where=left)
         return self._edge_rows(code, off)
 
+    # A walk's frame is a stack's (k, V) distances to the vertices.  A tree is
+    # 0-hyperbolic, so the point at arclength s along [x, y] is b + |s - a|
+    # from each vertex, a and b the Gromov products ((f_x - f_y) + d) / 2 and
+    # ((f_x + f_y) - d) / 2 of the frames, d = max |f_x - f_y|: a step needs
+    # no route.
+
+    def _frame(self, xs):
+        # the one-edge path to each vertex through the lower or the upper end
+        c, off = xs[:, 0].astype(np.intp), xs[:, 1:]
+        lo, hi = self._ends[:, c]
+        return np.minimum(off + self._dist_table[lo],
+                          (self._len[c, None] - off) + self._dist_table[hi])
+
+    _frame_targets = _frame
+
+    def _frame_point(self, frame):
+        # the first edge (lo, hi) with f_lo + f_hi - L least holds the point, f_lo from lo
+        n = len(self.vertices)
+        if n == 1:
+            return np.zeros((len(frame), 2))
+        (lo, hi), length = self._ends[:, n:], self._len[n:]
+        f_lo = frame[:, lo]
+        e = np.argmin((f_lo + frame[:, hi]) - length, axis=1)
+        return self._edge_rows(n + e, f_lo[np.arange(len(e)), e])
+
+    def _frame_geodesic(self, frame, ys, t):
+        # b + |s - a| = max(b + a - s, b - a + s) = max(f_x - s, f_y - (d - s))
+        d = np.abs(frame - ys).max(axis=-1, keepdims=True)
+        s = _check_t(t) * d
+        return np.maximum(frame - s, ys - (d - s))
+
     def _no_riemannian_maps(self, *args):
         raise NotImplementedError("metric trees have no Riemannian maps (exp, log, tangent norms)")
 
@@ -787,18 +835,24 @@ class MetricTree(Space):
         [0, L].  The barycenter is the best of these E edge minima.  The
         weights are nonnegative, not all zero, and need not sum to 1.
         """
-        if not self.edges:
-            return TreePoint(vertex=self.vertices[0])
-        w = np.asarray(weights, dtype=float)
-        xs, n = self.stack(points), len(self.vertices)
-        # (atoms, V) atom-to-vertex distances, one row call over all pairs
-        vs = np.stack([np.arange(n), np.zeros(n)], axis=1)
-        dv = self.row_dist(np.repeat(xs, n, axis=0), np.tile(vs, (len(xs), 1))).reshape(-1, n)
+        row, _ = self._mean(self.stack(points), np.asarray(weights, dtype=float))
+        return self.unstack(row)[0]
+
+    def _mean(self, xs, w) -> tuple[np.ndarray, float]:
+        """The stack row of ``frechet_mean`` of the stack ``xs`` under weights
+        ``w``, and its objective sum_i w_i (p_i - u)^2 / sum_i w_i, read off the
+        winning edge's quadratic."""
+        n = len(self.vertices)
+        if n == 1:
+            return np.zeros((1, 2)), 0.0
+        dv = self._frame(xs)
         (lo, hi), length = self._ends[:, n:], self._len[n:]
         pos = (dv[:, lo] ** 2 - dv[:, hi] ** 2 + length**2) / (2.0 * length)
         u = np.clip(w @ pos / w.sum(), 0.0, length)
-        best = int(np.argmin(w @ (pos - u) ** 2))
-        return self.edge_point(best, float(u[best]))
+        objective = w @ (pos - u) ** 2
+        best = int(np.argmin(objective))
+        row = self._edge_rows(np.array([n + best]), u[best : best + 1])
+        return row, float(objective[best] / w.sum())
 
     def validate_point(self, p) -> str | None:
         try:

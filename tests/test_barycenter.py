@@ -50,7 +50,8 @@ from npcbary.experiments import (
 )
 from npcbary.presets import coverage_distribution, sphere_cap_distribution
 
-from conftest import all_spaces, npc_spaces, space_id, star_tree
+from conftest import all_spaces, npc_spaces, path_tree, space_id, star_tree
+from test_rows import branching_path_tree
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=space_id)
@@ -186,6 +187,52 @@ def test_spd_carried_factor_does_not_drift(rng):
     for k, i in enumerate(order[1:].tolist(), start=2):
         ref = _spd_reference_step(ref, support[i], 1.0 / k)
     assert space.dist(walked, ref) <= 1e-10 * (1.0 + sample_diameter(space, atoms))
+
+
+@pytest.mark.parametrize("tree", [star_tree(), path_tree(), branching_path_tree()],
+                         ids=["star", "path", "branching_path"])
+def test_tree_frame_walk_does_not_drift(tree, rng):
+    # 2,000 steps on vertex distances against the walk that steps by
+    # row_geodesic, read at every row's length and at the full width
+    support = np.concatenate([random_points(tree, rng, 30), tree.stack(tree.all_vertex_points())])
+    idx = rng.integers(len(support), size=(16, 2000))
+    lengths = rng.integers(1, 2001, size=16)
+    read, walked = inductive_rows(tree, support, idx, lengths), inductive_rows(tree, support, idx)
+    ref = support[idx[:, 0]]
+    want = ref.copy()
+    for k in range(2, 2001):
+        ref = tree.row_geodesic(ref, support[idx[:, k - 1]], 1.0 / k)
+        want[lengths == k] = ref[lengths == k]
+    slack = 1e-13 * (1.0 + sample_diameter(tree, tree.all_vertex_points()))
+    assert tree.row_dist(read, want).max() <= slack
+    assert tree.row_dist(walked, ref).max() <= slack
+
+
+def test_tree_walk_takes_no_route(rng, monkeypatch):
+    tree = star_tree()
+    support = random_points(tree, rng, 5)
+    calls = _count_calls(monkeypatch, MetricTree, "_route")
+    inductive_rows(tree, support, rng.integers(5, size=(6, 9)))
+    assert calls == []
+
+
+def test_tree_solve_takes_no_route(rng, monkeypatch):
+    # the atoms' vertex distances come from the frame, the objective from the edge's quadratic
+    tree = star_tree()
+    points = tree.unstack(random_points(tree, rng, 5))
+    calls = _count_calls(monkeypatch, MetricTree, "_route")
+    empirical_barycenter(tree, points, counts=[1, 2, 3, 1, 1])
+    assert calls == []
+
+
+def test_one_vertex_tree_walks():
+    # a frame over no edges reads back the vertex
+    tree = MetricTree(("x",), ())
+    x = tree.vertex_point("x")
+    assert inductive_barycenter(tree, [x, x, x]) == x
+    support = tree.stack([x])
+    rows = inductive_rows(tree, support, np.zeros((3, 4), dtype=np.intp), np.array([1, 2, 4]))
+    assert tree.unstack(rows) == [x, x, x]
 
 
 def test_inductive_is_running_mean(rng):
@@ -900,7 +947,10 @@ def test_tree_frechet_mean_matches_grid_oracle(shape, ids, weights, rng):
         # the solver's atoms and weights: its merge's order, and masses summing to 1
         first, masses = _merge(tree.stack(pts), sample.resolved_weights())
         mean = tree.frechet_mean([pts[i] for i in first], [float(m) for m in masses])
-        assert weighted_barycenter(tree, sample).point == mean
+        res = weighted_barycenter(tree, sample)
+        assert res.point == mean
+        assert abs(res.objective - frechet_variance(tree, sample, mean)) <= 1e-12 * (
+            1.0 + sample_diameter(tree, pts) ** 2)
         oracle = min(tree.grid_points(step), key=lambda c: frechet_variance(tree, sample, c))
         assert frechet_variance(tree, sample, mean) <= frechet_variance(tree, sample, oracle) + 1e-12
         assert tree.dist(mean, oracle) <= step
