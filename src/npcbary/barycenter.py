@@ -2,8 +2,8 @@
 
 Two estimators are provided.  The inductive barycenter walks the geodesic
 recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k); it is order-dependent
-but needs only geodesics, and many draws walk it in lockstep through the
-row-wise geodesic.  The empirical and the weighted barycenter are the
+but needs only geodesics, and many draws walk it in lockstep, a run of
+equal points at a time.  The empirical and the weighted barycenter are the
 Frechet mean of a measure, which one solver finds from its merged atoms in
 an order of its own, so the order of the points does not reach the result.
 On a metric tree, where the Frechet functional is a convex quadratic along
@@ -33,6 +33,7 @@ from .spaces import (
     SpaceError,
     SpdAffine,
     Sphere,
+    _check_t,
     _over,
 )
 
@@ -184,7 +185,8 @@ def frechet_objective(space: Space, points: Sequence, b) -> float:
 
 def inductive_barycenter(space: Space, points: Sequence):
     """s_n from the exact recursion s_1 = x_1, s_k = gamma_{s_{k-1}, x_k}(1/k),
-    the one-row case of :func:`inductive_rows`.
+    the one-row case of :func:`inductive_rows`, which takes each run of equal
+    consecutive points as one step.
 
     Order-dependent by construction; in Euclidean space it reproduces the
     running arithmetic mean.
@@ -199,24 +201,76 @@ def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
                    lengths: np.ndarray | None = None) -> np.ndarray:
     """The inductive recursion on every row of the index matrix ``idx`` at
     once, row i's points being ``support[idx[i]]``, ``support`` a stack
-    (``space.stack``), and the result the stack of the rows' iterates.  All
-    rows advance together as one frame (``Space._frame``: the stack, SPD's
-    factor pair, or a tree's distances to its vertices), gathering step k's
-    points from column k of the support, taken once as ``_frame_targets``,
-    so no (rows, n, point) array is built and a tree step takes no route.
+    (``space.stack``), and the result the stack of the rows' iterates.
+
+    A row is walked a run of equal points (equal stack rows, byte for byte)
+    at a time: the run of j copies of x that ends at point K moves the
+    iterate to gamma(s, x; j / K) in one step, which is exact in a uniquely
+    geodesic space (README.md, "Notes on the solver"), and a row without
+    consecutive repeats steps by 1/k bitwise.  All rows advance together as
+    one frame (``Space._frame``: the stack, SPD's factor pair, or a tree's
+    distances to its vertices), sorted by their number of runs, so that the
+    rows still walking are a head slice and those done leave as a tail, read
+    once.  Step r gathers each row's run-r point from the distinct support
+    rows, taken once as ``_frame_targets``, so no (rows, n, point) array is
+    built and a tree step takes no route.
 
     Row i's iterate is read after ``lengths[i]`` points, 1 <= lengths[i] <=
     the width of ``idx``, by default the full width; the columns past it are
-    padding, walked with the other rows but never read."""
-    cols = np.ascontiguousarray(idx.T)
-    out = support[cols[0]]
-    targets, frame = space._frame_targets(support), space._frame(out)
-    for k, col in enumerate(cols[1:], start=2):
-        frame = space._frame_geodesic(frame, targets[col], 1.0 / k)
-        if lengths is not None and (ends := lengths == k).any():
-            out[ends] = space._frame_point(frame)[ends]
-    # a row that takes no step is its first point, as it is
-    return out if lengths is not None or len(cols) == 1 else space._frame_point(frame)
+    padding, never walked."""
+    rows, width = idx.shape
+    # each support row's id among the distinct rows of the support, by bytes
+    keys = np.ascontiguousarray(support).reshape(len(support), -1)
+    first, inverse = np.unique(keys.view(f"V{keys[0].nbytes}")[:, 0], return_index=True,
+                               return_inverse=True)[1:]
+    ids = inverse.astype(np.min_scalar_type(len(first) - 1)).take(idx)
+    # a run starts at column 0 and where the point changes, before the row's length
+    new = np.ones(idx.shape, dtype=bool)
+    np.not_equal(ids[:, 1:], ids[:, :-1], out=new[:, 1:])
+    if lengths is not None:
+        new[:, 1:] &= np.arange(1, width) < lengths[:, None]
+    # the rows by descending run count, so the rows still walking are a head slice
+    runs = np.count_nonzero(new, axis=1)
+    order = np.argsort(-runs, kind="stable")
+    runs = runs[order]
+    starts = np.flatnonzero(new[order])  # i * width + column, in the sorted rows
+    # entry (i, r): row i's run r, its point and its first column, or (0, 0) past its last run
+    has = np.arange(runs.max(initial=1)) < runs[:, None]
+    point = np.zeros(has.shape, ids.dtype)
+    point[has] = ids[order].take(starts)
+    del new, ids
+    # t holds each run's first column, and then its t
+    base = np.arange(0, rows * width, width)[:, None]
+    t = np.empty(has.shape)
+    t[:] = base
+    t[has] = starts
+    del starts
+    t -= base
+    # run r ends at column K, the next run's first column or the row's length: t = j / K
+    end = np.zeros(has.shape)
+    end[:, :-1] = t[:, 1:]
+    end[np.arange(rows), runs - 1] = width if lengths is None else lengths[order]
+    np.subtract(end, t, out=t)
+    np.divide(t, end, out=t, where=has)
+    _check_t(t.ravel())
+    live = np.count_nonzero(has, axis=0).tolist()  # the rows with a run r
+    del end, has
+    # step r reads row r of each, its rows in the frame's order
+    point, t = np.ascontiguousarray(point.T), np.ascontiguousarray(t.T)
+    xs = support[first]
+    out = xs[point[0]]  # a row of one run is its first point
+    if len(live) > 1:
+        size = live[1]
+        targets, frame = space._frame_targets(xs), space._frame(out[:size])
+        for p, s, m in zip(point[1:], t[1:], live[1:]):
+            if m < size:  # the frame's rows m, ... have walked all their runs
+                out[m:size] = space._frame_point(space._frame_rows(frame, slice(m, size)))
+                frame, size = space._frame_rows(frame, slice(0, m)), m
+            frame = space._frame_geodesic(frame, targets.take(p[:m], axis=0), s[:m, None])
+        out[:size] = space._frame_point(frame)
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted
 
 
 def empirical_barycenter(

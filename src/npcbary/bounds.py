@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import sys
 from typing import Callable, Sequence
 
 _COMBINE: dict[str, Callable[[float, float], float]] = {
@@ -48,6 +49,12 @@ def _check_delta(delta: float) -> float:
 def _log_over(c: float, delta: float) -> float:
     """log(c / delta): its bits where c / delta is finite, else log c - log delta."""
     return math.log(c / delta) if c / delta < math.inf else math.log(c) - math.log(delta)
+
+
+def _over_square(a: float, eps: float) -> float:
+    """a / eps^2: its bits where eps^2 is a normal float, else (a / eps) / eps."""
+    square = eps * eps  # eps**2, without its OverflowError
+    return a / square if sys.float_info.min <= square < math.inf else (a / eps) / eps
 
 
 def _check_nonneg(value: float, name: str) -> float:
@@ -195,7 +202,7 @@ def pac_sample_size_bernstein(
     eps_target = _check_pos(eps_target, "eps_target")
     delta = _check_delta(delta)
     c_pac = _check_pos(c_pac, "c_pac")
-    return _sample_size(lambda: c_pac * max(sigma2 / eps_target**2, D / eps_target)
+    return _sample_size(lambda: c_pac * max(_over_square(sigma2, eps_target), D / eps_target)
                         * max(1.0, _log_over(1.0, delta)),
                         sigma2=sigma2, D=D, eps_target=eps_target, delta=delta, c_pac=c_pac)
 

@@ -80,7 +80,7 @@ COUNT_PASS_FIXED = 4000
 # instances this many at a time, so its memory does not grow with samples.
 PROPERTY_CHUNK = 1024
 
-# perturbed_tuple moves each point at most this fraction of the way to its target.
+# _perturb moves each point at most this fraction of the way to its target.
 PERTURB_SCALE = 0.3
 
 # The radii a coverage run can check, by their names for bounds.evaluate_bound.
@@ -825,28 +825,10 @@ def random_points(space: Space, rng: np.random.Generator, k: int) -> np.ndarray:
     return _draw_instances(space, rng, k, 1)[0][0]
 
 
-def random_point(space: Space, rng: np.random.Generator):
-    """A bounded, well-conditioned random point of the given space, the
-    one-row case of :func:`random_points`: k successive calls give the k
-    points of one ``random_points`` call on an equal generator."""
-    return space.unstack(random_points(space, rng, 1))[0]
-
-
-def random_tuple(space: Space, rng: np.random.Generator, n: int) -> list:
-    return list(space.unstack(random_points(space, rng, n)))
-
-
 def _perturb(space: Space, xs: np.ndarray, targets: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each row of the stack ``xs`` moved the fraction PERTURB_SCALE * u[i, 0]
     of the way toward row i of ``targets``: one perturbation instance each."""
     return space.row_geodesic(xs, targets, PERTURB_SCALE * u[:, 0])
-
-
-def perturbed_tuple(space: Space, rng: np.random.Generator, xs: Sequence) -> list:
-    """Move each point a random fraction, up to PERTURB_SCALE, of the way
-    toward a fresh random point; perturbation sizes vary per coordinate."""
-    (targets,), u = _draw_instances(space, rng, len(xs), 1, 1)
-    return list(space.unstack(_perturb(space, space.stack(xs), targets, u)))
 
 
 @dataclass

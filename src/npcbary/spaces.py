@@ -28,9 +28,9 @@ class AntipodalError(SpaceError):
 
 
 def _check_t(t):
-    """t checked to lie in [0, 1]: a float, or for an array of one t per row
-    a column, to scale the rows of a stack.  A scalar t takes a plain-float
-    path, which per-step callers such as the inductive recursion pay."""
+    """t checked to lie in [0, 1], as ``Space._frame_geodesic`` takes it: a
+    float, or for an array of one t per row a column, to scale the rows of a
+    stack.  A walk that builds its t itself checks them once, not per step."""
     if isinstance(t, np.ndarray) and t.ndim:
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise SpaceError(f"geodesic parameter outside [0, 1] in {t}")
@@ -102,7 +102,7 @@ class Space:
     def row_geodesic(self, xs, ys, t) -> np.ndarray:
         """gamma_{xs[i], ys[i]}(t) for each row i: one float t for every row,
         or an array of one t per row."""
-        raise NotImplementedError
+        return self._frame_point(self._frame_geodesic(self._frame(xs), ys, _check_t(t)))
 
     # Riemannian maps of the smooth spaces (metric trees have none) ----------
 
@@ -177,8 +177,9 @@ class Space:
         return frame[idx]
 
     def _frame_geodesic(self, frame, ys, t):
-        """The frame of ``row_geodesic`` from the frame's points."""
-        return self.row_geodesic(frame, ys, t)
+        """The frame of ``row_geodesic`` from the frame's points, t a float or
+        a column as ``_check_t`` returns it, and not checked again."""
+        raise NotImplementedError
 
     def _frame_exp(self, frame, vs, norms):
         """The frame of ``row_exp``, given the tangent norms of ``vs``."""
@@ -241,8 +242,7 @@ class Euclidean(Space):
     def row_dist(self, xs, ys):
         return np.sqrt(_dot_rows(xs - ys))
 
-    def row_geodesic(self, xs, ys, t):
-        t = _check_t(t)
+    def _frame_geodesic(self, xs, ys, t):
         return (1.0 - t) * xs + t * ys
 
     def log(self, x, ys):
@@ -294,9 +294,8 @@ class _ModelSpace(Space):
     def row_dist(self, xs, ys):
         return self._angle(xs, ys, self._form(ys - xs)) / math.sqrt(abs(self.kappa))
 
-    def row_geodesic(self, xs, ys, t):
+    def _frame_geodesic(self, xs, ys, t):
         # a row whose theta is below 1e-14 stays at its x
-        t = _check_t(t)
         theta, u = self._chords(xs, ys)
         theta = theta[:, None]
         moves = theta >= 1e-14
@@ -488,7 +487,8 @@ class SpdAffine(Space):
         return sym_part(frame[0] @ frame[0].swapaxes(-1, -2))
 
     def _frame_rows(self, frame, idx):
-        return frame[0][idx], frame[1][idx]
+        C, F = self._frame(frame)
+        return C[idx], F[idx]
 
     def _move(self, frame, B, t=None):
         """The frame C V h, with F, V and h for ``_frame``, of C V h^2 V^T C^T:
@@ -499,7 +499,7 @@ class SpdAffine(Space):
         return (C @ V) * h, F, V, h
 
     def _frame_geodesic(self, frame, ys, t):
-        return self._move(frame, ys, _check_t(t))
+        return self._move(frame, ys, t)
 
     def _frame_exp(self, frame, vs, norms):
         return self._move(frame, vs)
@@ -508,9 +508,6 @@ class SpdAffine(Space):
         _, F = self._frame(xs)
         m = _clamp(np.linalg.eigvalsh(sym_part(_congruence(F, ys))))
         return np.sqrt((np.log(m) ** 2).sum(axis=-1))
-
-    def row_geodesic(self, xs, ys, t):
-        return self._frame_point(self._move(self._frame(xs), ys, _check_t(t)))
 
     def log(self, x, ys):
         # log_x(y) = C log(C^{-1} y C^{-T}) C^T, x a point or a frame
@@ -816,7 +813,7 @@ class MetricTree(Space):
     def _frame_geodesic(self, frame, ys, t):
         # b + |s - a| = max(b + a - s, b - a + s) = max(f_x - s, f_y - (d - s))
         d = np.abs(frame - ys).max(axis=-1, keepdims=True)
-        s = _check_t(t) * d
+        s = t * d
         return np.maximum(frame - s, ys - (d - s))
 
     def _no_riemannian_maps(self, *args):

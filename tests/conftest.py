@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from npcbary import Euclidean, Hyperbolic, MetricTree, SpdAffine, Sphere
+from npcbary.experiments import _draw_instances, _perturb, random_points
 
 
 def star_tree() -> MetricTree:
@@ -34,3 +35,21 @@ def space_id(space) -> str:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def random_point(space, rng: np.random.Generator):
+    """A bounded, well-conditioned random point of the given space, the
+    one-row case of :func:`random_points`: k successive calls give the k
+    points of one ``random_points`` call on an equal generator."""
+    return space.unstack(random_points(space, rng, 1))[0]
+
+
+def random_tuple(space, rng: np.random.Generator, n: int) -> list:
+    return list(space.unstack(random_points(space, rng, n)))
+
+
+def perturbed_tuple(space, rng: np.random.Generator, xs) -> list:
+    """Move each point a random fraction, up to PERTURB_SCALE, of the way
+    toward a fresh random point; perturbation sizes vary per coordinate."""
+    (targets,), u = _draw_instances(space, rng, len(xs), 1, 1)
+    return list(space.unstack(_perturb(space, space.stack(xs), targets, u)))

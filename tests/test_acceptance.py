@@ -34,8 +34,6 @@ from npcbary.cli import main as cli_main
 from npcbary.experiments import (
     npc_property_suite,
     population_barycenter,
-    random_point,
-    random_tuple,
     trial_rng,
 )
 from npcbary.presets import (
@@ -48,7 +46,7 @@ from npcbary.presets import (
     witness_distribution,
 )
 
-from conftest import star_tree
+from conftest import random_point, random_tuple, star_tree
 
 SEED = 2024
 COVERAGE_TRIALS = 2000

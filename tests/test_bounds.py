@@ -3,6 +3,7 @@ monotonicity and consistency properties of the formulas."""
 
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,20 @@ def test_pac_sample_size_bernstein_values():
     assert pac_sample_size_bernstein(1.0, 2.0, 0.5, 0.99) >= 1
 
 
+def test_pac_sample_size_bernstein_where_eps_squared_leaves_the_normal_floats():
+    # eps^2 underflows to 0.0: sigma2/eps^2 is (0/eps)/eps = 0, and D/eps = 1e10 sets the size
+    assert pac_sample_size_bernstein(0.0, 1e-190, 1e-200, 0.1) == 23_025_850_930
+    # eps^2 overflows: the size is 1, where it read "no finite sample size"
+    assert pac_sample_size_bernstein(1.0, 1.0, 1e200, 0.1) == 1
+    # either side of the largest eps whose square is finite: the plain formula's
+    # bits at 1.34e154, the divided form's at the overflow Hypothesis finds
+    for eps, square_is_finite in ((1.34e154, True), (1.3407807929942597e154, False)):
+        assert (eps * eps < math.inf) == square_is_finite
+        ratio = 1.7e308 / eps**2 if square_is_finite else (1.7e308 / eps) / eps
+        assert pac_sample_size_bernstein(1.7e308, 1.0, eps, 0.1) == math.ceil(
+            ratio * math.log(10.0)) == 3
+
+
 @pytest.mark.parametrize("fn, args, fields", [
     (pac_sample_size, (1e200, 1e-100, 0.1), "D=1e+200, eps_target=1e-100"),
     (pac_sample_size, (1e300, 1e-300, 0.1), "D=1e+300, eps_target=1e-300"),
@@ -140,13 +155,16 @@ positive = st.floats(min_value=1e-300, max_value=1e300)
        c=st.floats(min_value=1e-3, max_value=1e3))
 def test_pac_sizes_keep_the_formulas_bits(sigma2, D, eps, delta, c):
     # where the plain formula evaluates, the size is its value; elsewhere a
-    # ValueError.  log(1/delta) is log(1) - log(delta) where 1/delta overflows
+    # ValueError.  log(1/delta) is log(1) - log(delta) where 1/delta overflows,
+    # and sigma2/eps^2 is (sigma2/eps)/eps where eps^2 overflows or underflows
     log_inv = math.log(1.0 / delta) if 1.0 / delta < math.inf else -math.log(delta)
+    square = eps * eps
+    ratio = sigma2 / eps**2 if sys.float_info.min <= square < math.inf else (sigma2 / eps) / eps
     cases = [
         (lambda: pac_sample_size(D, eps, delta, c),
          lambda: c * (D / eps) ** 2 * max(1.0, log_inv)),
         (lambda: pac_sample_size_bernstein(sigma2, D, eps, delta, c),
-         lambda: c * max(sigma2 / eps**2, D / eps) * max(1.0, log_inv)),
+         lambda: c * max(ratio, D / eps) * max(1.0, log_inv)),
     ]
     for size, formula in cases:
         want = _size_or_none(formula)

@@ -43,10 +43,7 @@ from npcbary.experiments import (
     _speed_error_rows,
     draw_counts,
     draw_indices,
-    perturbed_tuple,
-    random_point,
     random_points,
-    random_tuple,
     trial_rng,
 )
 from npcbary.spaces import sym_part
@@ -62,7 +59,8 @@ from npcbary.presets import (
     witness_distribution,
 )
 
-from conftest import npc_spaces, space_id, star_tree
+from conftest import (npc_spaces, perturbed_tuple, random_point, random_tuple, space_id,
+                      star_tree)
 
 
 def rademacher():

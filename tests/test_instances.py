@@ -10,10 +10,10 @@ import pytest
 
 from npcbary import Euclidean, Hyperbolic, SpaceError, SpdAffine, Sphere
 from npcbary.experiments import (PERTURB_SCALE, _draw_instances, _perturb, _tuple_pairs,
-                                 perturbed_tuple, random_point, random_points)
+                                 random_points)
 from npcbary.spaces import TreePoint, spd_exp, sym_part
 
-from conftest import path_tree, star_tree
+from conftest import path_tree, perturbed_tuple, random_point, star_tree
 
 EXACT_SPACES = [Euclidean(3), SpdAffine(2), SpdAffine(3), star_tree(), path_tree()]
 # at kappa = -0.1 the re-projection onto the sheet moves the base point by an ulp

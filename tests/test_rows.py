@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from npcbary import Euclidean, Hyperbolic, MetricTree, SpaceError, SpdAffine, Sphere, TreePoint
-from npcbary.experiments import random_point
 
-from conftest import path_tree, star_tree
+from conftest import path_tree, random_point, star_tree
 
 ROW_SPACES = [Euclidean(2), Hyperbolic(-1.0), Sphere(1.0), SpdAffine(2), SpdAffine(3)]
 

@@ -23,9 +23,9 @@ from npcbary import (
     space_from_json,
     space_to_json,
 )
-from npcbary.experiments import _midpoint_excess_rows, random_point, random_points
+from npcbary.experiments import _midpoint_excess_rows, random_points
 
-from conftest import all_spaces, npc_spaces, space_id, path_tree, star_tree
+from conftest import all_spaces, npc_spaces, random_point, space_id, path_tree, star_tree
 
 
 # ---------------------------------------------------------------------------
