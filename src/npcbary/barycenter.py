@@ -219,10 +219,7 @@ def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
     the width of ``idx``, by default the full width; the columns past it are
     padding, never walked."""
     rows, width = idx.shape
-    # each support row's id among the distinct rows of the support, by bytes
-    keys = np.ascontiguousarray(support).reshape(len(support), -1)
-    first, inverse = np.unique(keys.view(f"V{keys[0].nbytes}")[:, 0], return_index=True,
-                               return_inverse=True)[1:]
+    first, inverse = _distinct_rows(support)
     ids = inverse.astype(np.min_scalar_type(len(first) - 1)).take(idx)
     # a run starts at column 0 and where the point changes, before the row's length
     new = np.ones(idx.shape, dtype=bool)
@@ -240,12 +237,9 @@ def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
     point[has] = ids[order].take(starts)
     del new, ids
     # t holds each run's first column, and then its t
-    base = np.arange(0, rows * width, width)[:, None]
-    t = np.empty(has.shape)
-    t[:] = base
-    t[has] = starts
+    t = np.zeros(has.shape)
+    t[has] = np.remainder(starts, width, out=starts)
     del starts
-    t -= base
     # run r ends at column K, the next run's first column or the row's length: t = j / K
     end = np.zeros(has.shape)
     end[:, :-1] = t[:, 1:]
@@ -257,7 +251,7 @@ def inductive_rows(space: Space, support: np.ndarray, idx: np.ndarray,
     del end, has
     # step r reads row r of each, its rows in the frame's order
     point, t = np.ascontiguousarray(point.T), np.ascontiguousarray(t.T)
-    xs = support[first]
+    xs = np.asarray(support[first], dtype=float)  # an integer support walks in float
     out = xs[point[0]]  # a row of one run is its first point
     if len(live) > 1:
         size = live[1]
@@ -318,18 +312,27 @@ def _merge(xs: np.ndarray, masses: Sequence[int | Fraction]) -> tuple[np.ndarray
     """The atoms of the measure with mass ``masses[i]`` >= 0 at row i of the
     stack ``xs`` (README.md, "Notes on the solver"): each distinct row's first
     index and exact total mass, if not zero, in the sorted order of the bytes."""
+    first, inverse = _distinct_rows(xs)
+    sums = [0] * len(first)
+    for g, m in zip(inverse.tolist(), masses):  # each row's mass joins its atom's sum
+        sums[g] += m
+    keep = [g for g, m in enumerate(sums) if m > 0]
+    return first[keep], [sums[g] for g in keep]
+
+
+def _distinct_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the stack ``xs``, equal rows being equal bytes:
+    each one's first index, in the sorted order of the bytes, and each row's
+    position among them."""
     rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
     keys = rows.view(f"V{rows[0].nbytes}")[:, 0]
     order = keys.argsort(kind="stable")  # equal rows stay in index order
     sorted_keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    first = order[new]
-    sums = [0] * len(first)
-    for g, i in zip(new.cumsum().tolist(), order.tolist()):  # row i is in atom g - 1
-        sums[g - 1] += masses[i]
-    keep = [g for g, m in enumerate(sums) if m > 0]
-    return first[keep], [sums[g] for g in keep]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
 
 
 def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fraction],

@@ -52,8 +52,11 @@ def _log_over(c: float, delta: float) -> float:
 
 
 def _over_square(a: float, eps: float) -> float:
-    """a / eps^2: its bits where eps^2 is a normal float, else (a / eps) / eps."""
-    square = eps * eps  # eps**2, without its OverflowError
+    """a / eps**2 where eps**2 is a normal float, else (a / eps) / eps."""
+    try:
+        square = eps**2
+    except OverflowError:
+        square = math.inf
     return a / square if sys.float_info.min <= square < math.inf else (a / eps) / eps
 
 

@@ -345,6 +345,25 @@ def test_inductive_two_spd_points_is_geometric_mean():
     assert np.max(np.abs(out - np.diag([2.0, 2.0]))) <= 1e-10
 
 
+@pytest.mark.parametrize("space, points", [
+    (Euclidean(2), [[0, 0], [1, 1]]),
+    (Euclidean(2), [[0, 0], [1, 1], [1, 1], [4, 2]]),
+    (Hyperbolic(-1.0), [[0, 0, 1], [2, 2, 3], [2, 2, 3]]),
+    (SpdAffine(2), [[[2, 1], [1, 2]], [[4, 0], [0, 1]], [[4, 0], [0, 1]]]),
+], ids=["euclidean-pair", "euclidean-run", "hyperbolic", "spd"])
+def test_inductive_on_integer_points_walks_in_float(space, points):
+    ints = [np.array(p) for p in points]
+    want = inductive_barycenter(space, [p.astype(float) for p in ints])
+    for n in (1, len(ints)):
+        out = inductive_barycenter(space, ints[:n])
+        assert out.dtype == np.float64
+        assert out.tobytes() == inductive_barycenter(
+            space, [p.astype(float) for p in ints[:n]]).tobytes()
+    assert space.validate_point(want) is None
+    if len(points) == 2:
+        assert out.tolist() == [0.5, 0.5]
+
+
 def test_empirical_euclidean_triangle():
     space = Euclidean(2)
     pts = [np.array([0.0, 0.0]), np.array([2.0, 0.0]), np.array([1.0, 3.0])]

@@ -117,6 +117,9 @@ def test_pac_sample_size_bernstein_values():
 def test_pac_sample_size_bernstein_where_eps_squared_leaves_the_normal_floats():
     # eps^2 underflows to 0.0: sigma2/eps^2 is (0/eps)/eps = 0, and D/eps = 1e10 sets the size
     assert pac_sample_size_bernstein(0.0, 1e-190, 1e-200, 0.1) == 23_025_850_930
+    # eps^2 = 1e-320 is subnormal: the divided form, not 1e-300 / 1e-320's rounded quotient
+    assert pac_sample_size_bernstein(1e-300, 1e-300, 1e-160, 0.1) == math.ceil(
+        ((1e-300 / 1e-160) / 1e-160) * math.log(10.0)) == 230_258_509_299_404_603_392
     # eps^2 overflows: the size is 1, where it read "no finite sample size"
     assert pac_sample_size_bernstein(1.0, 1.0, 1e200, 0.1) == 1
     # either side of the largest eps whose square is finite: the plain formula's
@@ -156,10 +159,13 @@ positive = st.floats(min_value=1e-300, max_value=1e300)
 def test_pac_sizes_keep_the_formulas_bits(sigma2, D, eps, delta, c):
     # where the plain formula evaluates, the size is its value; elsewhere a
     # ValueError.  log(1/delta) is log(1) - log(delta) where 1/delta overflows,
-    # and sigma2/eps^2 is (sigma2/eps)/eps where eps^2 overflows or underflows
+    # and sigma2/eps**2 is (sigma2/eps)/eps where eps**2 is not a normal float
     log_inv = math.log(1.0 / delta) if 1.0 / delta < math.inf else -math.log(delta)
-    square = eps * eps
-    ratio = sigma2 / eps**2 if sys.float_info.min <= square < math.inf else (sigma2 / eps) / eps
+    try:
+        square = eps**2
+    except OverflowError:
+        square = math.inf
+    ratio = sigma2 / square if sys.float_info.min <= square < math.inf else (sigma2 / eps) / eps
     cases = [
         (lambda: pac_sample_size(D, eps, delta, c),
          lambda: c * (D / eps) ** 2 * max(1.0, log_inv)),
