@@ -672,10 +672,12 @@ def verify_subgaussian_witness(
 
     rows = []
     for t in t_grid:
+        t = bounds._check_nonneg(t, "t")
+        # C = 0 (all mass at x0) takes the C -> 0 limit: 1 at t = 0, else 0
+        bound = bounds.subgaussian_tail(2.0 * C, t) if C > 0 else float(t == 0.0)
         p_hat = float(np.mean(dev >= t))
-        bound = bounds.subgaussian_tail(2.0 * C, t) if C > 0 else 0.0
         se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-        rows.append(WitnessRow(float(t), p_hat, bound, se, p_hat <= bound + Z_SLACK * se))
+        rows.append(WitnessRow(t, p_hat, bound, se, p_hat <= bound + Z_SLACK * se))
     return WitnessReport(
         C=C,
         mean_f=mean_f,

@@ -832,6 +832,20 @@ def test_witness_point_mass():
     assert rep.passed
 
 
+def test_witness_point_mass_at_x0():
+    # C = 0: the tail bound is its C -> 0 limit, 1 at t = 0 and 0 beyond
+    rep = verify_subgaussian_witness(point_mass(), np.array([2.0]), 500, [0.0, 0.5])
+    assert rep.C == 0.0
+    assert [(r.empirical, r.bound) for r in rep.rows] == [(1.0, 1.0), (0.0, 0.0)]
+    assert rep.passed
+
+
+@pytest.mark.parametrize("x0", [2.0, 0.0], ids=["C=0", "C=2"])
+def test_witness_rejects_negative_t(x0):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        verify_subgaussian_witness(point_mass(), np.array([x0]), 500, [0.5, -0.5])
+
+
 def test_witness_two_atoms_midpoint():
     half = 0.7
     dist = DistributionSpec(Euclidean(1), [np.array([-half]), np.array([half])])
