@@ -31,6 +31,7 @@ from . import bounds
 from .barycenter import (
     ConvergenceError,
     WeightedSample,
+    _distinct_rows,
     empirical_barycenter,
     frechet_variance,
     inductive_barycenter,  # not called here; perfbench's tracer and self-test patch it here
@@ -72,8 +73,9 @@ ESTIMATORS = ("empirical", "inductive")
 # (block, n) index matrix and one stack of iterates.
 LOCKSTEP_BLOCK = 128
 
-# draw_counts' cost model: a pass over n uniforms costs n + COUNT_PASS_FIXED
-# units and a sort n log2(n) units, a unit about 0.5 ns (2-core Xeon, numpy 2.4).
+# _count_rows' cost model: a pass over a block's T n uniforms costs T n +
+# COUNT_PASS_FIXED units and sorting its rows T n log2(n) units, a unit about
+# 0.5 ns (2-core Xeon, numpy 2.4).
 COUNT_PASS_FIXED = 4000
 
 # The property suite places and checks its midpoint and constant-speed
@@ -280,17 +282,29 @@ def draw_indices(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.nda
 def draw_counts(cum: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """How many of ``size`` uniforms of ``rng`` pick each atom by the rule of
     :func:`draw_indices`, ``cum`` ending in 1: bitwise ``np.bincount(
-    draw_indices(cum, rng, size), minlength=len(cum))``, from #{u < cum[i]}
-    by one pass over the uniforms per entry or by one sort, whichever
-    COUNT_PASS_FIXED rates cheaper, as README.md ("Notes on the solver")
-    describes."""
-    u = rng.random(size)
-    if (len(cum) - 1) * (size + COUNT_PASS_FIXED) < size * math.log2(max(size, 1)):
-        counts = np.array([np.count_nonzero(u < c) for c in cum[:-1].tolist()] + [size])
+    draw_indices(cum, rng, size), minlength=len(cum))``, the one-trial case
+    of :func:`_count_rows`."""
+    return _count_rows(cum, rng.random(size)[None])[0]
+
+
+def _count_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row j: how many of the uniforms ``u[j]`` pick each atom by the rule of
+    :func:`draw_indices`, from #{u < cum[i]}: by sorting each row (in place)
+    or by one pass over the block per entry, whichever COUNT_PASS_FIXED rates
+    cheaper, as README.md ("Notes on the solver") describes."""
+    trials, n = u.shape
+    counts = np.full((trials, len(cum)), n, np.intp)  # #{u < 1} = n
+    if (len(cum) - 1) * (trials * n + COUNT_PASS_FIXED) >= trials * n * math.log2(max(n, 1)):
+        u.sort(axis=1)
+        counts[:] = [np.searchsorted(row, cum) for row in u]
+    # a pass row by row costs T (n + COUNT_PASS_FIXED) units, and one over the
+    # block COUNT_PASS_FIXED + 2 T n: np.sum(axis=1) of bools is half as fast
+    elif trials * n > COUNT_PASS_FIXED * (trials - 1):
+        counts[:, :-1] = [[np.count_nonzero(row < c) for c in cum[:-1].tolist()] for row in u]
     else:
-        u.sort()
-        counts = np.searchsorted(u, cum)  # #{u < cum[i]}, the last all of them
-    counts[1:] -= counts[:-1]  # numpy reads the overlapping operand as it was
+        for i, c in enumerate(cum[:-1].tolist()):
+            np.sum(u < c, axis=1, out=counts[:, i])
+    counts[:, 1:] -= counts[:, :-1]  # numpy reads the overlapping operand as it was
     return counts
 
 
@@ -446,6 +460,15 @@ def _blocks(trials: int) -> Iterator[range]:
     return (range(i, min(i + LOCKSTEP_BLOCK, trials)) for i in range(0, trials, LOCKSTEP_BLOCK))
 
 
+def _uniforms(config: ExperimentConfig, block: range) -> np.ndarray:
+    """The (trials, n) uniforms of a block of trials, row j the first n of
+    trial j's stream."""
+    u = np.empty((len(block), config.n))
+    for row, rng in zip(u, trial_rngs(config.seed, block)):
+        rng.random(config.n, out=row)
+    return u
+
+
 def _trial_draws(config: ExperimentConfig) -> Callable[[range], np.ndarray]:
     """A block of trials -> their (trials, n) matrix of draws, as indices
     into the supports stacked in distribution order: all from the one
@@ -454,34 +477,30 @@ def _trial_draws(config: ExperimentConfig) -> Callable[[range], np.ndarray]:
     :func:`draw_indices`; an i.i.d. block searches all its uniforms in one
     call."""
     dists = config.distributions
-
-    def uniforms(block):
-        return np.stack([rng.random(config.n) for rng in trial_rngs(config.seed, block)])
-
     if config.iid:
         cum = dists[0].cumulative_weights()
-        return lambda block: np.searchsorted(cum, uniforms(block), side="right")
+        return lambda block: np.searchsorted(cum, _uniforms(config, block), side="right")
     offsets = np.cumsum([0] + [len(d.support) for d in dists[:-1]])
     # row i: distribution i's cumulative weights, padded with entries no u reaches
     cums = np.full((len(dists), max(len(d.support) for d in dists)), np.inf)
     for row, d in zip(cums, dists):
         row[: len(d.support)] = d.cumulative_weights()
     return lambda block: np.stack([offsets + np.count_nonzero(cums <= u[:, None], axis=1)
-                                   for u in uniforms(block)])
+                                   for u in _uniforms(config, block)])
 
 
-def _trial_counts(config: ExperimentConfig) -> Iterator[np.ndarray]:
-    """Each trial's count of each atom of the stacked supports, in trial
-    order: ``np.bincount`` of its row of :func:`_trial_draws`, counted as
-    README.md ("Notes on the solver") describes."""
+def _block_counts(config: ExperimentConfig) -> Callable[[range], np.ndarray]:
+    """A block of trials -> their (trials, atoms) counts of the atoms of the
+    stacked supports, row j bitwise ``np.bincount`` of row j of
+    :func:`_trial_draws`: an i.i.d. block counted from its uniforms by
+    :func:`_count_rows`, any other by one offset bincount of its draws."""
     if config.iid:
         cum = config.distributions[0].cumulative_weights()
-        return (draw_counts(cum, rng, config.n) for block in _blocks(config.trials)
-                for rng in trial_rngs(config.seed, block))
+        return lambda block: _count_rows(cum, _uniforms(config, block))
     draws = _trial_draws(config)
     atoms = sum(len(d.support) for d in config.distributions)
-    return (np.bincount(row, minlength=atoms)
-            for block in _blocks(config.trials) for row in draws(block))
+    return lambda block: np.bincount((draws(block) + atoms * np.arange(len(block))[:, None]).ravel(),
+                                     minlength=len(block) * atoms).reshape(len(block), atoms)
 
 
 def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[float]:
@@ -527,12 +546,13 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
 
     The boundedness center x0 is taken to be b* itself and C the largest
     support distance from it, the choice that minimizes C.  b* and the
-    diameters are each spec's own, computed once per spec.  Each trial
-    draws from its own stream.  Inductive trials advance in lockstep,
-    LOCKSTEP_BLOCK at a time.  Empirical trials are keyed by their counts
-    (:func:`_trial_counts`), as README.md ("Notes on the solver") describes,
-    and solved once per key; a failing solve aborts the run naming the first
-    trial with that key.
+    diameters are each spec's own, computed once per spec.  Each trial draws from its own stream.  Trials run
+    LOCKSTEP_BLOCK at a time: inductive ones advance in lockstep, and an
+    empirical block is counted into one (trials, atoms) matrix
+    (:func:`_block_counts`) whose distinct rows are found in one pass, as
+    README.md ("Notes on the solver") describes.  Each count vector not seen
+    in an earlier block is solved once, in order of its first trial; a
+    failing solve aborts the run naming that trial.
     """
     t0 = time.perf_counter()
     space = config.space
@@ -548,20 +568,24 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
         distances = _block_distances(space, b_star, config.trials, _trial_draws(config),
                                      space.stack(atoms))
     else:
-        solved, distances = {}, []
-        for t, counts in enumerate(_trial_counts(config)):
-            key = counts.tobytes()
-            if key not in solved:
-                drawn = np.flatnonzero(counts)
-                try:
-                    t_n = empirical_barycenter(space, [atoms[i] for i in drawn.tolist()],
-                                               tol=trial_tol, counts=counts[drawn].tolist()).point
-                except ConvergenceError as exc:
-                    raise ConvergenceError(
-                        f"trial {t}: {exc}", exc.point, exc.displacement, exc.iterations
-                    ) from exc
-                solved[key] = space.dist(t_n, b_star)
-            distances.append(solved[key])
+        counts_of, solved, distances = _block_counts(config), {}, []
+        for block in _blocks(config.trials):
+            counts = counts_of(block)
+            first, inverse = _distinct_rows(counts)
+            dist = np.empty(len(first))
+            for g in first.argsort().tolist():  # the block's measures, in order of first trial
+                row = counts[first[g]]
+                if (key := row.tobytes()) not in solved:
+                    drawn = np.flatnonzero(row)
+                    try:
+                        t_n = empirical_barycenter(space, [atoms[i] for i in drawn.tolist()],
+                                                   tol=trial_tol, counts=row[drawn].tolist()).point
+                    except ConvergenceError as exc:
+                        raise ConvergenceError(f"trial {block.start + int(first[g])}: {exc}",
+                                               exc.point, exc.displacement, exc.iterations) from exc
+                    solved[key] = space.dist(t_n, b_star)
+                dist[g] = solved[key]
+            distances += dist[inverse].tolist()
 
     arr = np.asarray(distances)
     coverage = float(np.mean(arr <= bound_value))

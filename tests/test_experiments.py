@@ -156,14 +156,18 @@ def test_distribution_weight_validation():
 
 
 class FixedUniforms:
-    """A stand-in generator whose ``random(size)`` returns given uniforms."""
+    """A stand-in generator whose ``random(size, out=None)`` returns given
+    uniforms, written into ``out`` when one is given, as numpy's does."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size):
+    def random(self, size, out=None):
         assert size == len(self.u)
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[:] = self.u
+        return out
 
 
 def tenths_with_zero(at: int) -> DistributionSpec:
@@ -236,6 +240,55 @@ def test_draw_counts_are_the_bincount_of_the_draws(table, n, monkeypatch):
             assert bool(searches) == (n < 10_000 or len(cum) > 10)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def sorts_rows(k: int, trials: int, n: int) -> bool:
+    """Whether experiments._count_rows sorts a block of trials x n uniforms
+    from k atoms, by its cost model, rather than passing over it."""
+    return (k - 1) * (trials * n + experiments.COUNT_PASS_FIXED) >= trials * n * math.log2(n)
+
+
+BLOCK_COUNT_SIZES = [(trials, n) for trials in (1, 4, LOCKSTEP_BLOCK) for n in (1, 100, 10_000)]
+
+
+def test_block_count_sizes_take_both_cost_model_branches():
+    for trials in (4, LOCKSTEP_BLOCK):
+        taken = {sorts_rows(len(d.support), trials, n) for d in COUNT_TABLES.values()
+                 for t, n in BLOCK_COUNT_SIZES if t == trials}
+        assert taken == {True, False}
+
+
+@pytest.mark.parametrize("trials, n", BLOCK_COUNT_SIZES)
+@pytest.mark.parametrize("table", COUNT_TABLES)
+def test_block_counts_are_the_bincount_of_the_draws(table, trials, n, monkeypatch):
+    # a block of i.i.d. trials is counted from its uniforms into one matrix,
+    # each row bitwise the bincount of that trial's draws
+    dist = COUNT_TABLES[table]
+    cum = dist.cumulative_weights()
+    cfg = ExperimentConfig([dist], n=n, estimator="empirical", trials=trials, delta=0.1, seed=7)
+    searches = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **kw: searches.append(1) or searchsorted(*a, **kw))
+    got = experiments._block_counts(cfg)(range(trials))
+    if len(cum) > 1:
+        assert bool(searches) == sorts_rows(len(cum), trials, n)
+    monkeypatch.undo()
+    assert got.shape == (trials, len(cum))
+    for t, row in enumerate(got):
+        want = np.bincount(draw_indices(cum, trial_rng(7, t), n), minlength=len(cum))
+        assert row.dtype == want.dtype
+        assert row.tobytes() == want.tobytes()
+
+
+def test_noniid_block_counts_are_the_bincount_of_the_draws():
+    cfg = preset_config("noniid-hoeffding-empirical")
+    atoms = sum(len(d.support) for d in cfg.distributions)
+    block = range(LOCKSTEP_BLOCK, LOCKSTEP_BLOCK + 9)
+    got = experiments._block_counts(cfg)(block)
+    want = np.stack([np.bincount(row, minlength=atoms)
+                     for row in experiments._trial_draws(cfg)(block)])
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def counted(monkeypatch, name: str) -> list:
@@ -523,6 +576,17 @@ def test_each_distinct_measure_is_solved_once(monkeypatch, name, trials):
     rep = run_concentration(cfg)
     assert seen == list(dict.fromkeys(keys))
     monkeypatch.undo()
+    assert rep.distances == per_trial_empirical(cfg, rep.D)
+
+
+@pytest.mark.parametrize("name, trials", [("bernstein-spd-empirical", 2 * LOCKSTEP_BLOCK + 5),
+                                          ("noniid-hoeffding-empirical", LOCKSTEP_BLOCK + 5)])
+def test_block_trials_match_the_per_trial_solve(name, trials):
+    # three blocks, the last of 5 trials: each count vector is solved in the
+    # block of its first trial and its distance shared by later blocks
+    cfg = preset_config(name)
+    cfg.trials = trials
+    rep = run_concentration(cfg)
     assert rep.distances == per_trial_empirical(cfg, rep.D)
 
 
