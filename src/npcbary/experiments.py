@@ -517,7 +517,10 @@ def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[
 
 def _setup_ground_truth(config: ExperimentConfig):
     """Population barycenter, per-variable sigma/C, the largest diameter D,
-    and the trial tolerance: ``config.tol``, or TRIAL_TOL_REL * (1 + D)."""
+    and the trial tolerance: ``config.tol``, or TRIAL_TOL_REL * (1 + D).
+
+    Each C is the largest distance from b* to an atom of positive weight.  D
+    is taken over every atom, weight 0 included: it only scales tolerances."""
     space = config.space
     dists = config.distributions
     b_star = population_barycenter(dists[0])
@@ -536,7 +539,8 @@ def _setup_ground_truth(config: ExperimentConfig):
     sigmas, Cs = [], []
     for d in dists:
         sigmas.append(math.sqrt(frechet_variance(space, d.as_weighted_sample(), b_star)))
-        Cs.append(float(space.row_dist(b_row, space.stack(d.support)).max()))
+        mass = np.array([w > 0 for w in d.as_weighted_sample().resolved_weights()])
+        Cs.append(float(space.row_dist(b_row, space.stack(d.support)[mass]).max()))
     return b_star, sigmas, Cs, D, trial_tol
 
 
@@ -545,8 +549,9 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     distances d(T_n, b*) against the configured bound.
 
     The boundedness center x0 is taken to be b* itself and C the largest
-    support distance from it, the choice that minimizes C.  b* and the
-    diameters are each spec's own, computed once per spec.  Each trial draws from its own stream.  Trials run
+    distance from it to an atom of positive weight, the choice that
+    minimizes C.  b* and the diameters are each spec's own, computed once
+    per spec.  Each trial draws from its own stream.  Trials run
     LOCKSTEP_BLOCK at a time: inductive ones advance in lockstep, and an
     empirical block is counted into one (trials, atoms) matrix
     (:func:`_block_counts`) whose distinct rows are found in one pass, as
@@ -676,9 +681,10 @@ def verify_subgaussian_witness(
     t_grid: Sequence[float],
     seed: int = 0,
 ) -> WitnessReport:
-    """Tail check for the witness function f = d(., x0): the support sits in
-    B(x0, C), so f(X) must satisfy the 4C^2-sub-Gaussian two-sided tail
-    2*exp(-t^2/(8 C^2)) up to three binomial standard errors.
+    """Tail check for the witness function f = d(., x0): the atoms of
+    positive weight sit in B(x0, C), so f(X) must satisfy the
+    4C^2-sub-Gaussian two-sided tail 2*exp(-t^2/(8 C^2)) up to three
+    binomial standard errors.
 
     E[f(X)] is computed exactly from the weighted support.
     """
@@ -686,9 +692,9 @@ def verify_subgaussian_witness(
     dist.space.check_point(x0)
     (x0_row,) = space.stack([x0])
     atom_f = space.row_dist(space.stack(dist.support), x0_row)
-    C = float(atom_f.max())
-    weights = np.array([float(w) for w in dist.as_weighted_sample().resolved_weights()])
-    mean_f = float(weights @ atom_f)
+    resolved = dist.as_weighted_sample().resolved_weights()
+    C = float(atom_f[[w > 0 for w in resolved]].max())
+    mean_f = float(np.array([float(w) for w in resolved]) @ atom_f)
 
     rng = trial_rng(seed, 0)
     idx = draw_indices(dist.cumulative_weights(), rng, trials)

@@ -376,6 +376,24 @@ def test_run_point_mass_coverage():
     assert rep.sigma == 0.0 and rep.C == 0.0 and rep.D == 0.0
 
 
+def zero_weight_far_atom():
+    """A point mass at 0.5, listed with a second atom, of weight 0, at 1.0."""
+    return DistributionSpec(Euclidean(1), [np.array([0.5]), np.array([1.0])], weights=["1", "0"])
+
+
+@pytest.mark.parametrize("iid", [True, False], ids=["iid", "noniid"])
+@pytest.mark.parametrize("estimator", ["empirical", "inductive"])
+def test_C_ignores_atoms_of_weight_zero(estimator, iid):
+    # the measure is a point mass, so sigma = C = 0 and so is every radius
+    dists = [zero_weight_far_atom()] * (1 if iid else 2)
+    cfg = ExperimentConfig(dists, n=5 if iid else 2, estimator=estimator, trials=20, delta=0.1,
+                           bound="hoeffding" if iid else "noniid_hoeffding")
+    rep = run_concentration(cfg)
+    assert rep.sigma == 0.0 and rep.C == 0.0 and rep.bound_value == 0.0
+    assert rep.D == 0.5  # D spans every atom: it only scales tolerances
+    assert rep.distances == [0.0] * 20 and rep.passed
+
+
 @pytest.mark.parametrize("estimator", ["empirical", "inductive"])
 def test_run_rademacher_hoeffding(estimator):
     cfg = ExperimentConfig(
@@ -901,6 +919,14 @@ def test_witness_point_mass_at_x0():
     rep = verify_subgaussian_witness(point_mass(), np.array([2.0]), 500, [0.0, 0.5])
     assert rep.C == 0.0
     assert [(r.empirical, r.bound) for r in rep.rows] == [(1.0, 1.0), (0.0, 0.0)]
+    assert rep.passed
+
+
+def test_witness_C_ignores_atoms_of_weight_zero():
+    # all the mass is at x0, so C = 0 and the tail bound is its C -> 0 limit
+    rep = verify_subgaussian_witness(zero_weight_far_atom(), np.array([0.5]), 500, [0.0, 0.1, 0.4])
+    assert rep.C == 0.0 and rep.mean_f == 0.0
+    assert [(r.empirical, r.bound) for r in rep.rows] == [(1.0, 1.0), (0.0, 0.0), (0.0, 0.0)]
     assert rep.passed
 
 
