@@ -162,9 +162,9 @@ class FixedUniforms:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size, out=None):
-        assert size == len(self.u)
+    def random(self, size=None, out=None):
         if out is None:
+            assert size == len(self.u)
             return self.u.copy()
         out[:] = self.u
         return out
