@@ -600,8 +600,8 @@ def test_each_distinct_measure_is_solved_once(monkeypatch, name, trials):
 @pytest.mark.parametrize("name, trials", [("bernstein-spd-empirical", 2 * LOCKSTEP_BLOCK + 5),
                                           ("noniid-hoeffding-empirical", LOCKSTEP_BLOCK + 5)])
 def test_block_trials_match_the_per_trial_solve(name, trials):
-    # three blocks, the last of 5 trials: each count vector is solved in the
-    # block of its first trial and its distance shared by later blocks
+    # blocks of 128 trials and a last of 5: each count vector is solved in
+    # the block of its first trial and its distance shared by later blocks
     cfg = preset_config(name)
     cfg.trials = trials
     rep = run_concentration(cfg)
