@@ -312,25 +312,37 @@ def _merge(xs: np.ndarray, masses: Sequence[int | Fraction]) -> tuple[np.ndarray
     """The atoms of the measure with mass ``masses[i]`` >= 0 at row i of the
     stack ``xs`` (README.md, "Notes on the solver"): each distinct row's first
     index and exact total mass, if not zero, in the sorted order of the bytes."""
-    first, inverse = _distinct_rows(xs)
-    sums = [0] * len(first)
-    for g, m in zip(inverse.tolist(), masses):  # each row's mass joins its atom's sum
-        sums[g] += m
+    order, new = _sorted_rows(xs)
+    first, sums = [], []
+    for i, starts in zip(order.tolist(), new.tolist()):  # each row's mass joins its atom's sum
+        if starts:
+            first.append(i)
+            sums.append(masses[i])
+        else:
+            sums[-1] += masses[i]
     keep = [g for g, m in enumerate(sums) if m > 0]
-    return first[keep], [sums[g] for g in keep]
+    return np.array([first[g] for g in keep], dtype=np.intp), [sums[g] for g in keep]
+
+
+def _sorted_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the stack ``xs`` in the sorted order of their bytes, equal
+    rows next to each other in index order, and which of them differ from
+    their predecessor, so start a distinct row."""
+    rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}")[:, 0]
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return order, new
 
 
 def _distinct_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the stack ``xs``, equal rows being equal bytes:
     each one's first index, in the sorted order of the bytes, and each row's
     position among them."""
-    rows = np.ascontiguousarray(xs).reshape(len(xs), -1)
-    keys = rows.view(f"V{rows[0].nbytes}")[:, 0]
-    order = keys.argsort(kind="stable")  # equal rows stay in index order
-    sorted_keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    inverse = np.empty(len(keys), dtype=np.intp)
+    order, new = _sorted_rows(xs)
+    inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = new.cumsum() - 1
     return order[new], inverse
 
@@ -360,7 +372,7 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         return BarycenterResult(points[first[0]], 0, 0.0, 0.0, 0.0)
     total = sum(masses)
     weights = np.array([float(m / total) for m in masses])
-    xs = xs[first]
+    xs = xs.take(first, axis=0)
     if isinstance(space, MetricTree):
         row, objective = space._mean(xs, weights)
         return BarycenterResult(space.unstack(row)[0], 0, 0.0, objective, 0.0)
@@ -372,11 +384,12 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
         frame = space._frame_geodesic(frame, xs[k : k + 1], float(m / running))
     ball, step = None, 0.0
     for iteration in itertools.count():
-        frame = space._frame(frame)  # log, the norm and the step share its factor
-        vs, r = space.log(frame, xs)
+        # the log maps, the norm and the step share the frame and its coordinates
+        frame = space._frame(frame)
+        vs, r = space._frame_log(frame, xs)
         g = (weights @ vs.reshape(len(vs), -1)).reshape(1, *vs.shape[1:])
-        g_norm = float(space.row_tangent_norm(frame, g)[0])
-        radius = float(r.max())
+        g_norm = float(space._frame_norm(frame, g)[0])
+        radius = float(np.maximum.reduce(r))
         bound = _error_bound(space, g_norm, radius)
         # the support ball, widened to reach the iterate; no radius certifies ||g|| > tol
         if bound > tol and g_norm <= tol and isinstance(space, Sphere):
@@ -387,7 +400,7 @@ def _frechet_mean(space: Space, points: Sequence, masses: Sequence[int | Fractio
                                     float(weights @ r**2), bound)
         # a step below the rounding of the distances it came from moves the
         # iterate no further, so a bound still above tol is as low as it gets
-        if iteration >= max_cycles or iteration and step <= STALL_REL * (1.0 + float(r.max())):
+        if iteration >= max_cycles or iteration and step <= STALL_REL * (1.0 + radius):
             raise ConvergenceError(
                 f"barycenter not certified to {tol} after {iteration} iterations "
                 f"(max_cycles {max_cycles}; error bound {bound}, last step {step})",
@@ -455,10 +468,17 @@ def weighted_barycenter(
 
 def frechet_variance(space: Space, sample: WeightedSample, b) -> float:
     """sum_i w_i d(x_i, b)^2, the Frechet functional of the sample at b."""
+    return _spread(space, sample, b)[0]
+
+
+def _spread(space: Space, sample: WeightedSample, b) -> tuple[float, float]:
+    """:func:`frechet_variance` of the sample at b, and the largest distance
+    d(x_i, b) from a point of positive weight, from one ``row_dist`` pass."""
     weights = sample.resolved_weights()
     (row,) = space.stack([b])
     r = space.row_dist(space.stack(sample.points), row).tolist()
-    return float(sum(float(w) * ri**2 for w, ri in zip(weights, r)))
+    return (float(sum(float(w) * ri**2 for w, ri in zip(weights, r))),
+            max(ri for w, ri in zip(weights, r) if w > 0))
 
 
 def pairwise_variance_estimate(space: Space, points: Sequence) -> float:

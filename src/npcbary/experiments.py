@@ -34,6 +34,7 @@ from .barycenter import (
     ConvergenceError,
     WeightedSample,
     _distinct_rows,
+    _spread,
     empirical_barycenter,
     frechet_variance,
     inductive_barycenter,  # not called here; perfbench's tracer and self-test patch it here
@@ -73,8 +74,11 @@ ESTIMATORS = ("empirical", "inductive")
 
 # Trials run this many at a time, inductive ones in lockstep: memory is one
 # (block, n) index matrix and one stack of iterates, or, for an empirical
-# block, one (block, n) array of uniforms and its (block, atoms) counts.
+# block, one (block, n) array of uniforms and its (block, atoms) counts.  A
+# block holds at most BLOCK_ENTRIES draws, but always one trial, so that its
+# memory does not grow with n beyond one trial's.
 LOCKSTEP_BLOCK = 128
+BLOCK_ENTRIES = 128 * 10**4
 
 # _count_rows' cost model: a pass over a block's T n uniforms costs T n +
 # COUNT_PASS_FIXED units and sorting its rows T n log2(n) units, a unit about
@@ -458,9 +462,11 @@ def _resolve_bound(config: ExperimentConfig, sigma: float, C: float,
     return bounds.evaluate_bound(config.bound, query) * float(overrides.get("scale", 1.0))
 
 
-def _blocks(trials: int) -> Iterator[range]:
-    """Trials 0, ..., trials - 1, LOCKSTEP_BLOCK at a time."""
-    return (range(i, min(i + LOCKSTEP_BLOCK, trials)) for i in range(0, trials, LOCKSTEP_BLOCK))
+def _blocks(trials: int, width: int) -> Iterator[range]:
+    """Trials 0, ..., trials - 1, LOCKSTEP_BLOCK at a time, or as many of
+    ``width`` draws each as BLOCK_ENTRIES holds, but at least one."""
+    size = max(1, min(LOCKSTEP_BLOCK, BLOCK_ENTRIES // width))
+    return (range(i, min(i + size, trials)) for i in range(0, trials, size))
 
 
 def _uniforms(config: ExperimentConfig, block: range) -> np.ndarray:
@@ -506,14 +512,16 @@ def _block_counts(config: ExperimentConfig) -> Callable[[range], np.ndarray]:
         minlength=len(block) * atoms).reshape(len(block), atoms)
 
 
-def _block_distances(space: Space, b_star, trials: int, draws, support) -> list[float]:
+def _block_distances(space: Space, b_star, trials: int, width: int, draws,
+                     support) -> list[float]:
     """d(T_n, b*) of the inductive barycenter for trials 0, ..., trials - 1,
-    LOCKSTEP_BLOCK at a time: :func:`inductive_rows` walks a block of trials
-    from their index matrix ``draws(block)`` into the stack ``support``, and
-    their distances to b* are one row-wise call."""
+    a block (:func:`_blocks`) at a time: :func:`inductive_rows` walks a
+    block of trials from their (trials, ``width``) index matrix
+    ``draws(block)`` into the stack ``support``, and their distances to b*
+    are one row-wise call."""
     (b_row,) = space.stack([b_star])
     out = []
-    for block in _blocks(trials):
+    for block in _blocks(trials, width):
         out += space.row_dist(inductive_rows(space, support, draws(block)), b_row).tolist()
     return out
 
@@ -522,7 +530,8 @@ def _setup_ground_truth(config: ExperimentConfig):
     """Population barycenter, per-variable sigma/C, the largest diameter D,
     and the trial tolerance: ``config.tol``, or TRIAL_TOL_REL * (1 + D).
 
-    Each C is the largest distance from b* to an atom of positive weight.  D
+    Each C is the largest distance to b* from an atom of positive weight,
+    read from the one pass of distances that gives sigma (``_spread``).  D
     is taken over every atom, weight 0 included: it only scales tolerances."""
     space = config.space
     dists = config.distributions
@@ -538,13 +547,8 @@ def _setup_ground_truth(config: ExperimentConfig):
                     f"non-i.i.d. mode needs a shared barycenter: distribution {i} "
                     f"({d.label or 'unlabeled'}) is {gap} away from the first"
                 )
-    (b_row,) = space.stack([b_star])
-    sigmas, Cs = [], []
-    for d in dists:
-        sigmas.append(math.sqrt(frechet_variance(space, d.as_weighted_sample(), b_star)))
-        mass = np.array([w > 0 for w in d.as_weighted_sample().resolved_weights()])
-        Cs.append(float(space.row_dist(b_row, space.stack(d.support)[mass]).max()))
-    return b_star, sigmas, Cs, D, trial_tol
+    spreads = [_spread(space, d.as_weighted_sample(), b_star) for d in dists]
+    return b_star, [math.sqrt(v) for v, _ in spreads], [C for _, C in spreads], D, trial_tol
 
 
 def run_concentration(config: ExperimentConfig) -> TrialReport:
@@ -554,8 +558,8 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
     The boundedness center x0 is taken to be b* itself and C the largest
     distance from it to an atom of positive weight, the choice that
     minimizes C.  b* and the diameters are each spec's own, computed once
-    per spec.  Each trial draws from its own stream.  Trials run
-    LOCKSTEP_BLOCK at a time: inductive ones advance in lockstep, and an
+    per spec.  Each trial draws from its own stream.  Trials run a block
+    (:func:`_blocks`) at a time: inductive ones advance in lockstep, and an
     empirical block is counted into one (trials, atoms) matrix
     (:func:`_block_counts`) whose distinct rows are found in one pass, as
     README.md ("Notes on the solver") describes.  Each count vector not seen
@@ -573,27 +577,26 @@ def run_concentration(config: ExperimentConfig) -> TrialReport:
 
     atoms = [x for d in dists for x in d.support]
     if config.estimator == "inductive":
-        distances = _block_distances(space, b_star, config.trials, _trial_draws(config),
-                                     space.stack(atoms))
+        distances = _block_distances(space, b_star, config.trials, config.n,
+                                     _trial_draws(config), space.stack(atoms))
     else:
         counts_of, solved, distances = _block_counts(config), {}, []
-        for block in _blocks(config.trials):
+        for block in _blocks(config.trials, config.n):
             counts = counts_of(block)
             first, inverse = _distinct_rows(counts)
-            shared = np.empty(len(first))
+            keys = [tuple(row) for row in counts[first].tolist()]
             for g in first.argsort().tolist():  # the block's measures, in order of first trial
-                row = counts[first[g]]
-                if (key := row.tobytes()) not in solved:
-                    drawn = np.flatnonzero(row)
+                if (key := keys[g]) not in solved:
+                    drawn = {i: m for i, m in enumerate(key) if m}  # atom: count
                     try:
-                        t_n = empirical_barycenter(space, [atoms[i] for i in drawn.tolist()],
-                                                   tol=trial_tol, counts=row[drawn].tolist()).point
+                        t_n = empirical_barycenter(space, [atoms[i] for i in drawn], tol=trial_tol,
+                                                   counts=list(drawn.values())).point
                     except ConvergenceError as exc:
                         raise ConvergenceError(f"trial {block.start + int(first[g])}: {exc}",
                                                exc.point, exc.displacement, exc.iterations) from exc
                     solved[key] = space.dist(t_n, b_star)
-                shared[g] = solved[key]
-            distances += shared[inverse].tolist()
+            shared = [solved[key] for key in keys]
+            distances += [shared[g] for g in inverse.tolist()]
 
     arr = np.asarray(distances)
     coverage = float(np.mean(arr <= bound_value))
@@ -751,7 +754,7 @@ def run_pac(
     run the inductive recursion on the subsample, and count a success when
     the result lands within eps_target of the full-set barycenter, the
     :func:`population_barycenter` of the uniform measure on ``points``.  The
-    trials advance in lockstep, LOCKSTEP_BLOCK at a time."""
+    trials advance in lockstep, a block (:func:`_blocks`) at a time."""
     spec = DistributionSpec(space, points)
     D = spec.diameter()
     b_star = population_barycenter(spec)
@@ -767,7 +770,7 @@ def run_pac(
     def draws(block):
         return np.stack([rng.integers(0, n, size=m) for rng in trial_rngs(seed, block)])
 
-    distances = _block_distances(space, b_star, trials, draws, space.stack(points))
+    distances = _block_distances(space, b_star, trials, m, draws, space.stack(points))
     successes = sum(d <= eps_target for d in distances)
     freq = successes / trials
     return PacReport(

@@ -220,13 +220,17 @@ def _per_iteration(space, points, monkeypatch, counted):
 
 def test_spd_karcher_iteration_work(rng, monkeypatch):
     # one eigendecomposition over the atoms for the log maps, one for the
-    # exponential step, and the tangent norm from the carried C^{-T}
+    # exponential step, and the norm and the step in C^{-1} . C^{-T}
+    # coordinates: no iteration forms an ambient tangent vector
     space = SpdAffine(3)
     points = list(random_points(space, rng, 5))
     eigh, solve = _per_iteration(space, points, monkeypatch,
                                  [(np.linalg, "eigh"), (np.linalg, "solve")])
     assert eigh <= 2
     assert solve == 0
+    ambient = [_count_calls(monkeypatch, SpdAffine, name) for name in ("log", "row_tangent_norm")]
+    assert empirical_barycenter(space, points, tol=1e-11).iterations > 1
+    assert ambient == [[], []]
 
 
 def test_hyperbolic_karcher_iteration_forms_one_norm(rng, monkeypatch):

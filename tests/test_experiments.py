@@ -394,6 +394,29 @@ def test_C_ignores_atoms_of_weight_zero(estimator, iid):
     assert rep.distances == [0.0] * 20 and rep.passed
 
 
+@pytest.mark.parametrize("name", ["hoeffding-spd-empirical", "hoeffding-tree-inductive",
+                                  "noniid-hoeffding-empirical"])
+def test_ground_truth_measures_each_support_once(name, monkeypatch):
+    # sigma and C come from one pass of distances from the atoms to b*
+    cfg = preset_config(name)
+    space, b_star = cfg.space, population_barycenter(cfg.distributions[0])
+    for d in cfg.distributions:
+        population_barycenter(d)
+    calls = []
+    row_dist = type(space).row_dist
+    monkeypatch.setattr(type(space), "row_dist", lambda *a: calls.append(1) or row_dist(*a))
+    _, sigmas, Cs, _, _ = experiments._setup_ground_truth(cfg)
+    k = len(cfg.distributions)  # and k - 1 more, the non-i.i.d. check's gaps between b*s
+    assert len(calls) == k + (k - 1)
+    monkeypatch.undo()
+    (b_row,) = space.stack([b_star])
+    for d, sigma, C in zip(cfg.distributions, sigmas, Cs):
+        r = space.row_dist(space.stack(d.support), b_row)
+        assert sigma == math.sqrt(experiments.frechet_variance(space, d.as_weighted_sample(), b_star))
+        assert C == max(ri for ri, w in zip(r.tolist(), d.as_weighted_sample().resolved_weights())
+                        if w > 0)
+
+
 @pytest.mark.parametrize("estimator", ["empirical", "inductive"])
 def test_run_rademacher_hoeffding(estimator):
     cfg = ExperimentConfig(
@@ -644,6 +667,39 @@ def test_lockstep_blocks_cover_every_trial():
     want = per_trial_inductive(cfg)
     assert len(rep.distances) == len(want)
     assert np.all(np.abs(np.array(rep.distances) - want) <= 1e-10 * (1.0 + rep.D))
+
+
+@pytest.mark.parametrize("budget", [250, 50])
+def test_block_budget_keeps_the_distances(budget, monkeypatch):
+    # with BLOCK_ENTRIES at 250 a block of n = 100 draws holds 2 trials, and
+    # at 50 one trial, over budget on its own: the distances keep their bits
+    pac_space, pac_pts = pac_points(True)
+    runs = [lambda name=name: run_concentration(dataclasses.replace(
+                preset_config(name), trials=30)).distances
+            for name in ("hoeffding-hyperbolic-inductive", "bernstein-spd-empirical",
+                         "hoeffding-tree-empirical", "noniid-hoeffding-empirical")]
+    runs.append(lambda: run_pac(pac_space, pac_pts, 0.5, 0.1, 30, seed=3))
+    blocks, make_blocks = [], experiments._blocks
+    block_distances = experiments._block_distances
+
+    def recorded(trials, width):
+        for block in make_blocks(trials, width):
+            blocks.append((len(block), width))
+            yield block
+
+    for run in runs:
+        distances = []  # run_pac's, which its report does not list
+        monkeypatch.setattr(experiments, "_block_distances",
+                            lambda *a: distances.append(block_distances(*a)) or distances[-1])
+        want = (run(), distances[:])
+        distances.clear()
+        monkeypatch.setattr(experiments, "BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(experiments, "_blocks", recorded)
+        assert (run(), distances) == want
+        monkeypatch.undo()
+    assert blocks and all(size * width <= budget or size == 1 for size, width in blocks)
+    for w in {width for _, width in blocks}:  # n = 100, and run_pac's m
+        assert max(size for size, width in blocks if width == w) == min(30, max(1, budget // w))
 
 
 def test_noniid_requires_shared_barycenter():

@@ -321,6 +321,46 @@ def test_hyperbolic_exp_inverts_log_on_far_pairs():
     assert np.all(space.row_dist(space.row_exp(X, np.array(vs)), Y) <= 1e-11)
 
 
+def _spd_maps_through_the_root(x):
+    """log_x and exp_x as x^{1/2} f(x^{-1/2} . x^{-1/2}) x^{1/2}, with x^{1/2}
+    from x's own eigenpairs, a factor other than the solver's C, and x^{-1/2}."""
+    w, U = np.linalg.eigh(x)
+    root, inv_root = (U * np.sqrt(w)) @ U.T, (U / np.sqrt(w)) @ U.T
+
+    def apply(f, M):
+        m, V = np.linalg.eigh(inv_root @ M @ inv_root)
+        return root @ ((V * f(m)[..., None, :]) @ V.swapaxes(-1, -2)) @ root
+
+    return (lambda ys: apply(np.log, ys)), (lambda v: apply(np.exp, v)), inv_root
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_spd_frame_maps_agree_with_the_ambient_ones(p, rng):
+    # the Karcher loop works in C^{-1} . C^{-T} coordinates: its logs
+    # recomposed, the norm of their weighted sum g_w and its step from g_w are
+    # log, row_tangent_norm and row_exp of the ambient g, to 1e-12 relative
+    space = SpdAffine(p)
+    for _ in range(20):
+        x, ys = random_point(space, rng), random_points(space, rng, 4)
+        w = rng.random(4) / 4.0
+        frame = space._frame(x[None])
+        C = frame[0][0]
+        vs, r = space._frame_log(frame, ys)
+        logs, dists = space.log(x, ys)
+        log_root, exp_root, inv_root = _spd_maps_through_the_root(x)
+        scale = 1.0 + np.abs(logs).max()
+        assert np.abs(C @ vs @ C.T - logs).max() <= 1e-12 * scale
+        assert np.abs(log_root(ys) - logs).max() <= 1e-12 * scale
+        assert np.array_equal(r, dists)
+        g_w, g = np.tensordot(w, vs, 1)[None], np.tensordot(w, logs, 1)[None]
+        norm = float(space._frame_norm(frame, g_w)[0])
+        for want in (space.tangent_norm(x, g[0]), np.linalg.norm(inv_root @ g[0] @ inv_root)):
+            assert abs(norm - want) <= 1e-12 * (1.0 + want)
+        step = space._frame_point(space._frame_exp(frame, 0.7 * g_w, 0.7 * norm))[0]
+        for want in (space.exp(x, 0.7 * g[0]), exp_root(0.7 * g[0])):
+            assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # row-wise forms over a leading axis of pairs
 # ---------------------------------------------------------------------------
